@@ -24,8 +24,8 @@ from .classify import Label, Thresholds, classify, window_evidence
 from .operators import (Diagonal, Matrix, NumericalFailure, Operator, Power,
                         Scaled, SequenceLp, SparseVector, Vector,
                         WeightedBackwardShift, apply, diff_seminorm,
-                        eigen_structure, exact_state_period, operator_space,
-                        power_apply, seminorm)
+                        eigen_structure, exact_state_period, power_apply,
+                        seminorm, state_exact_eq)
 from .orbits import growth_schedule, return_set
 from .rules import Rule
 from .values import Phase, to_complex, vabs
@@ -146,7 +146,7 @@ def _basis_labels(op: Operator, dim: int, eps_grid, N: int,
                   thresholds: Thresholds, seminorms=(0,)) -> list[Label]:
     labels = []
     for k in range(1, dim + 1):
-        x = SparseVector.unit(operator_space(op) if isinstance(op, Matrix)
+        x = SparseVector.unit(op.space if isinstance(op, Matrix)
                               else SequenceLp(2), k)
         recs = [return_set(op, x, e, seminorms, N) for e in eps_grid]
         labels.append(classify(recs, thresholds).label)
@@ -197,7 +197,7 @@ def diagonal_criterion_check(diag: Diagonal, sample_size: int,
                 unimodular = False
         elif abs(float(m) - 1.0) > tolerance:
             unimodular = False
-    space = operator_space(diag)
+    space = diag.space
     vectors = [SparseVector.unit(space, k) for k in (1, 2, 3)]
     vectors.append(SparseVector.from_pairs(
         space, [(k, Fraction(1)) for k in (1, 2, 3)]))
@@ -224,7 +224,7 @@ def eigenvector_span_check(op: Operator, eigenpairs: Sequence, coefficients,
     """
     parts = (repr(op), tuple(map(str, coefficients)),
              tuple(map(str, eps_grid)), N)
-    space = operator_space(op)
+    space = op.space
     lams, vecs = [], []
     for lam, v in eigenpairs:
         resid = diff_seminorm(space, 0, apply(op, v),
@@ -567,7 +567,6 @@ def minimality_separation_check(op: Operator, x: Vector, y: Vector, N: int,
     orbit = [y]
     for _ in range(period - 1):
         orbit.append(apply(op, orbit[-1]))
-    from .operators import state_exact_eq
     if any(state_exact_eq(x, z) for z in orbit):
         return _skip("minimality-separation", "x lies on the periodic orbit", parts)
     space = x.space

@@ -28,9 +28,9 @@ from pathlib import Path
 from . import checks as checks_mod
 from .classify import classify
 from .config import (ConfigError, ExperimentSpec, RunConfig, SuiteSpec,
-                     describe_operator, parse_config, parse_scalar,
-                     parse_set_expression)
-from .operators import PrecisionError, SparseVector
+                     describe_operator, parse_config, parse_operator,
+                     parse_scalar, parse_set_expression, parse_vector)
+from .operators import Diagonal, PrecisionError, SparseVector
 from .orbits import return_set
 from .rules import Rule
 from .values import to_complex
@@ -144,20 +144,17 @@ def execute_suite(spec: SuiteSpec) -> checks_mod.CheckOutcome:
             spec.get("family", "syndetic"), int(spec.get("trials", "100")),
             int(spec.get("seed", "0")), int(spec.get("horizon", "20000")))
     if kind == "matrix-criterion":
-        from .config import parse_operator
         mat = parse_operator(spec.get("operator", ""))
         eps = [Fraction(e) for e in spec.get("epsilons", "1/2,1/5").split(",")]
         return checks_mod.matrix_criterion_check(
             mat, eps, int(spec.get("horizon", "10000")))
     if kind == "diagonal-criterion":
-        from .config import parse_operator
         diag = parse_operator(spec.get("operator", ""))
         eps = [Fraction(e) for e in spec.get("epsilons", "1/2,1/5").split(",")]
         return checks_mod.diagonal_criterion_check(
             diag, int(spec.get("sample", "4")), eps,
             int(spec.get("horizon", "10000")))
     if kind == "power-consistency":
-        from .config import parse_operator, parse_vector
         op = parse_operator(spec.get("operator", ""))
         x = parse_vector(spec.get("vector", ""), op)
         eps = [Fraction(e) for e in spec.get("epsilons", "1/2,1/5").split(",")]
@@ -166,7 +163,6 @@ def execute_suite(spec: SuiteSpec) -> checks_mod.CheckOutcome:
             op, x, int(spec.get("p", "2")), eps,
             int(spec.get("horizon", "10000")), seminorms=sem)
     if kind == "scaling-consistency":
-        from .config import parse_operator, parse_vector
         op = parse_operator(spec.get("operator", ""))
         x = parse_vector(spec.get("vector", ""), op)
         eps = [Fraction(e) for e in spec.get("epsilons", "1/2,1/5").split(",")]
@@ -187,7 +183,6 @@ def execute_suite(spec: SuiteSpec) -> checks_mod.CheckOutcome:
         return checks_mod.translation_invariance_check(
             window, int(spec.get("m", "7")))
     if kind == "minimality-separation":
-        from .config import parse_operator, parse_vector
         op = parse_operator(spec.get("operator", ""))
         x = parse_vector(spec.get("vector", ""), op)
         y = parse_vector(spec.get("reference", ""), op)
@@ -196,9 +191,8 @@ def execute_suite(spec: SuiteSpec) -> checks_mod.CheckOutcome:
             op, x, y, int(spec.get("horizon", "10000")), seminorm_index=sem)
     if kind == "eigenvector-span":
         # diagonal operators carry their eigenvectors: unit coordinates
-        from .config import parse_operator
         op = parse_operator(spec.get("operator", ""))
-        if not isinstance(op, _diag_type()):
+        if not isinstance(op, Diagonal):
             raise ConfigError("eigenvector-span suites take a diag(...) operator")
         coeffs = [parse_scalar(c) for c in spec.get("coefficients", "1").split(",")]
         pairs = [(op.entry(k), SparseVector.unit(op.space, k))
@@ -207,11 +201,6 @@ def execute_suite(spec: SuiteSpec) -> checks_mod.CheckOutcome:
         return checks_mod.eigenvector_span_check(
             op, pairs, coeffs, eps, int(spec.get("horizon", "10000")))
     raise ConfigError(f"unknown check kind {kind!r} in suite {spec.name!r}")
-
-
-def _diag_type():
-    from .operators import Diagonal
-    return Diagonal
 
 
 def _parse_turn(text: str):
@@ -254,14 +243,15 @@ def _outcome_text(name: str, out: checks_mod.CheckOutcome) -> str:
 def run_config(config: RunConfig, out_dir: Path, workers: int = 1,
                precision: str = "exact", seed: int = 0) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
+    # suites first: a suite's ConfigError then aborts before any experiment runs
+    suite_results = [(spec.name, _suite_task(spec)) for spec in config.suites]
+
     exp_args = [(spec, precision) for spec in config.experiments]
     if workers > 1 and exp_args:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             exp_results = list(pool.map(_experiment_task, exp_args))
     else:
         exp_results = [_experiment_task(a) for a in exp_args]
-
-    suite_results = [(spec.name, _suite_task(spec)) for spec in config.suites]
 
     summary = []
     any_fail = False

@@ -35,11 +35,11 @@ from typing import Optional
 
 from .families import IndexWindow, ip_generate
 from .operators import (AffineComposition, BlockCycle, Diagonal,
-                        EntireCoefficients, Matrix, Operator, RowRotation,
-                        SparseVector, Vector, WeightedBackwardShift)
-from .orbits import RowState
+                        EntireCoefficients, FiniteRowVector, Matrix, Operator,
+                        RowRotation, RowState, SparseVector, Vector,
+                        WeightedBackwardShift)
 from .rules import Rule, RuleSyntaxError
-from .values import Phase, Value
+from .values import Phase, Value, to_complex
 
 __all__ = [
     "ConfigError", "RunConfig", "ExperimentSpec", "SuiteSpec",
@@ -150,18 +150,12 @@ def _parse_matrix(body: str) -> Matrix:
         rt = rt.strip()
         if not (rt.startswith("[") and rt.endswith("]")):
             raise ConfigError(f"malformed matrix row {rt!r}")
-        entries = [complex(_to_complex(parse_scalar(e)))
-                   for e in _split_top(rt[1:-1])]
+        entries = [to_complex(parse_scalar(e)) for e in _split_top(rt[1:-1])]
         rows.append(tuple(entries))
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ConfigError("matrix must be square")
     return Matrix(tuple(rows))
-
-
-def _to_complex(v: Value) -> complex:
-    from .values import to_complex
-    return to_complex(v)
 
 
 def _parse_kwargs(body: str) -> dict[str, str]:
@@ -231,20 +225,12 @@ def parse_vector(text: str, op: Operator) -> Vector:
         idx_text, val_text = item.split(":", 1)
         pairs.append((int(idx_text), parse_scalar(val_text)))
     if isinstance(op, RowRotation):
-        from .operators import FiniteRowVector
         if pairs:
             raise ConfigError("row-space coordinates are (row, column) cells; "
                               "only the zero vector vec(sparse:) and "
                               "vec(rowpattern) are expressible here")
         return FiniteRowVector(())
-    space = _op_vector_space(op)
-    return SparseVector.from_pairs(space, pairs)
-
-
-def _op_vector_space(op: Operator):
-    from .operators import operator_space
-    space = operator_space(op)
-    return space
+    return SparseVector.from_pairs(op.space, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -413,74 +399,4 @@ def _experiment_from(name: str, fields: dict) -> ExperimentSpec:
 
 def describe_operator(literal: str) -> str:
     op = parse_operator(literal)
-    lines = [f"literal: {literal.strip()}"]
-    if isinstance(op, BlockCycle):
-        lines += [
-            "kind: block-cyclic weighted permutation of the canonical basis",
-            "space: l^2 over N (indices from 1)",
-            "action: inside block [2^j, 2^(j+1)) each step doubles and advances;",
-            "        the block end wraps to the block start with weight 2^-(2^j-1)",
-            "notes: weight products around each block equal exactly 1, so every",
-            "       basis vector is periodic (period 2^j on block j); intra-block",
-            "       magnitudes blow up by 2^(2^j-1), which starves long windows of",
-            "       returns for vectors with heavy block-start coordinates",
-        ]
-    elif isinstance(op, RowRotation):
-        lines += [
-            "kind: row-wise cyclic rotation of a doubly indexed dyadic array",
-            "space: rows k hold 2^k entries; seminorm p_n adds a weight-k strip",
-            "       just right of each row midpoint",
-            "notes: the distinguished one-hot pattern returns within 2^-l of",
-            "       itself along the multiples of 2^l, yet its orbit seminorms",
-            "       grow without bound along dyadic probe times",
-        ]
-    elif isinstance(op, WeightedBackwardShift):
-        rule = op.weights
-        prods = []
-        prod = 1.0
-        for nu in range(1, 7):
-            prod *= float(rule(nu))
-            prods.append(f"{prod:.4g}")
-        lines += [
-            f"kind: {'bilateral' if op.bilateral else 'unilateral'} weighted backward shift",
-            f"weights: w_n = {rule.source}",
-            f"weight products prod(w_1..w_n), n=1..6: {', '.join(prods)}",
-            "notes: recurrence strength is governed by the series sum over A of",
-            "       1/(w_1...w_n); bounded partial sums admit fixed-point-like",
-            "       vectors, divergence starves every density class",
-        ]
-    elif isinstance(op, Diagonal):
-        heads = [op.entry(n) for n in range(1, 5)]
-        from .values import vabs
-        mods = [float(vabs(h)) for h in heads]
-        uni = all(abs(m - 1.0) <= 1e-12 for m in mods)
-        lines += [
-            "kind: diagonal (coordinatewise multiplication) operator",
-            f"entries: lambda_n = {'rot(' + op.turns.source + ') turns' if op.turns else op.values.source}",
-            f"first moduli: {', '.join(f'{m:.6g}' for m in mods)}",
-            f"all-unimodular head: {uni}",
-            "notes: unimodular entries make every finitely supported vector",
-            "       return along simultaneous rotation times; any off-circle",
-            "       entry kills recurrence of the touched coordinate",
-        ]
-    elif isinstance(op, Matrix):
-        from .operators import eigen_structure
-        eig = eigen_structure(op)
-        crit = eig.diagonalizable and eig.all_unimodular
-        lines += [
-            f"kind: matrix operator on C^{op.n}",
-            f"eigenvalues: {', '.join(f'{z:.6g}' for z in eig.eigenvalues)}",
-            f"diagonalizable: {eig.diagonalizable}; all unimodular: {eig.all_unimodular}",
-            f"recurrence criterion (diagonalizable with unimodular spectrum): {crit}",
-        ]
-    elif isinstance(op, AffineComposition):
-        from .values import to_complex
-        a = to_complex(op.a)
-        lines += [
-            "kind: affine composition f -> f(az + b) on truncated power series",
-            f"symbol: a = {a:.6g}, b = {to_complex(op.b):.6g}, degree cap {op.space.max_degree}",
-            "notes: |a| = 1 makes the symbol a rigid motion of the plane and the",
-            "       operator recurrent on polynomials; the iterated symbol is",
-            "       a^n z + b(a^n-1)/(a-1)",
-        ]
-    return "\n".join(lines)
+    return "\n".join([f"literal: {literal.strip()}", *op.describe()])

@@ -152,11 +152,6 @@ class SyndeticCertificate:
     tail_gap: int
     gap_cap: int
 
-    @property
-    def largest_observed_gap(self) -> int:
-        g = self.largest_interior_gap or 0
-        return max(g, self.tail_gap)
-
 
 def syndetic_certificate(window: IndexWindow,
                          gap_cap: Optional[int] = None) -> SyndeticCertificate:

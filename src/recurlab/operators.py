@@ -23,12 +23,14 @@ Every operator here has an exact, finitely representable action:
   eigenstructure report used by the recurrence criterion for matrices.
 
 ``Scaled`` (a unimodular multiple of a base operator) and ``Power`` (p-fold
-application per step) wrap any of the above.
+application per step) wrap any of the above.  Each class implements the
+``Operator`` protocol: its own action, powers, period bound and description.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,10 +45,10 @@ from .values import (ExactSqrt, Phase, Value, abs2, diff_abs2, exact_eq,
 __all__ = [
     "SequenceLp", "SequenceSup", "FiniteDim", "DyadicRowSpace", "EntireCoefficients",
     "SparseVector", "RowState", "FiniteRowVector",
-    "BlockCycle", "WeightedBackwardShift", "Diagonal", "RowRotation",
+    "Operator", "BlockCycle", "WeightedBackwardShift", "Diagonal", "RowRotation",
     "AffineComposition", "Matrix", "Scaled", "Power",
     "apply", "power_apply", "seminorm", "diff_seminorm", "exact_state_period",
-    "state_exact_eq", "operator_space",
+    "state_exact_eq",
     "eigen_structure", "EigenStructure", "continuity_bound_check",
     "continuity_bound_constant", "PrecisionError", "SpaceMismatch",
 ]
@@ -226,9 +228,6 @@ class RowState:
         entries = {(k, self.hot_position(k)): Fraction(1) for k in range(max_row + 1)}
         return FiniteRowVector(tuple(sorted((k, j, v) for (k, j), v in entries.items())))
 
-    def tail_bound(self, max_row: int) -> Fraction:
-        return Fraction(1, 1 << max_row)
-
 
 @dataclass(frozen=True)
 class FiniteRowVector:
@@ -265,8 +264,38 @@ Vector = Union[SparseVector, RowState, FiniteRowVector]
 # operators
 # ---------------------------------------------------------------------------
 
+class Operator:
+    """The operator protocol.
+
+    Every operator has a ``space`` and four methods:
+
+    * ``apply(x)`` -- one exact application;
+    * ``power(x, n)`` -- ``T^n x`` for n >= 1, in closed form where one exists;
+    * ``period_bound(x)`` -- an n with ``T^n x = x`` when one is symbolically
+      available, else None (the default here);
+    * ``describe()`` -- the lines ``recurlab describe`` prints for it.
+
+    The module-level ``apply``, ``power_apply`` and ``exact_state_period``
+    are the entry points that call them.  A closed-form distance profile is
+    optional: one entry, keyed by the operator's type, in
+    ``orbits._FAST_PATHS``.
+    """
+
+    def period_bound(self, x: Vector) -> Optional[int]:
+        return None
+
+
+def _sparse(op: Operator, x: Vector) -> SparseVector:
+    if not isinstance(x, SparseVector):
+        raise SpaceMismatch(f"{type(op).__name__} acts on sparse vectors")
+    return x
+
+
+_DOUBLE = Fraction(2)     # the in-block weight, built once: step is the hot loop
+
+
 @dataclass(frozen=True)
-class BlockCycle:
+class BlockCycle(Operator):
     """Weighted cycle on dyadic blocks; every basis vector is periodic."""
 
     space: Space = SequenceLp(2)
@@ -277,7 +306,7 @@ class BlockCycle:
             return 1, Fraction(1)
         j = index.bit_length() - 1
         if index < (1 << (j + 1)) - 1:
-            return index + 1, Fraction(2)
+            return index + 1, _DOUBLE
         return 1 << j, Fraction(1, 1 << ((1 << j) - 1))
 
     def jump(self, index: int, n: int) -> tuple[int, Fraction]:
@@ -292,9 +321,42 @@ class BlockCycle:
             return base + r + t, Fraction(2) ** t
         return base + r + t - block, Fraction(2) ** (t - block)
 
+    def apply(self, x):
+        pairs = {}
+        for i, v in _sparse(self, x).entries:
+            t, w = self.step(i)
+            pairs[t] = _guard_float_weight(w, v)
+        return SparseVector.from_pairs(x.space, pairs.items())
+
+    def power(self, x, n):
+        pairs = {}
+        for i, v in _sparse(self, x).entries:
+            t, w = self.jump(i, n)
+            prev = pairs.get(t)
+            val = _guard_float_weight(w, v)
+            pairs[t] = val if prev is None else _merge(prev, val)
+        return SparseVector.from_pairs(x.space, pairs.items())
+
+    def period_bound(self, x):
+        if not (isinstance(x, SparseVector) and x.exact):
+            return None
+        return math.lcm(*(1 << (i.bit_length() - 1) for i in x.support if i > 1))
+
+    def describe(self):
+        return [
+            "kind: block-cyclic weighted permutation of the canonical basis",
+            "space: l^2 over N (indices from 1)",
+            "action: inside block [2^j, 2^(j+1)) each step doubles and advances;",
+            "        the block end wraps to the block start with weight 2^-(2^j-1)",
+            "notes: weight products around each block equal exactly 1, so every",
+            "       basis vector is periodic (period 2^j on block j); intra-block",
+            "       magnitudes blow up by 2^(2^j-1), which starves long windows of",
+            "       returns for vectors with heavy block-start coordinates",
+        ]
+
 
 @dataclass(frozen=True)
-class WeightedBackwardShift:
+class WeightedBackwardShift(Operator):
     """``(x_n) -> (w_(n+1) x_(n+1))``; unilateral drops what falls off index 1."""
 
     weights: Rule
@@ -314,9 +376,34 @@ class WeightedBackwardShift:
             out = vmul(out, self.weight(nu))
         return out
 
+    def apply(self, x):
+        pairs = [(i - 1, vmul(v, self.weight(i)))
+                 for i, v in _sparse(self, x).entries if i != 1 or self.bilateral]
+        return SparseVector.from_pairs(x.space, pairs)
+
+    def power(self, x, n):
+        pairs = [(i - n, vmul(v, self.weight_product(i, n)))
+                 for i, v in _sparse(self, x).entries if i - n >= 1 or self.bilateral]
+        return SparseVector.from_pairs(x.space, pairs)
+
+    def describe(self):
+        prods = []
+        prod = 1.0
+        for nu in range(1, 7):
+            prod *= float(self.weights(nu))
+            prods.append(f"{prod:.4g}")
+        return [
+            f"kind: {'bilateral' if self.bilateral else 'unilateral'} weighted backward shift",
+            f"weights: w_n = {self.weights.source}",
+            f"weight products prod(w_1..w_n), n=1..6: {', '.join(prods)}",
+            "notes: recurrence strength is governed by the series sum over A of",
+            "       1/(w_1...w_n); bounded partial sums admit fixed-point-like",
+            "       vectors, divergence starves every density class",
+        ]
+
 
 @dataclass(frozen=True)
-class Diagonal:
+class Diagonal(Operator):
     """Coordinatewise multiplication ``x_n -> lambda_n x_n``.
 
     ``turns`` (a rule giving the rotation angle in turns) produces exactly
@@ -338,19 +425,76 @@ class Diagonal:
         v = self.values(index)
         return v if isinstance(v, Fraction) else float(v)
 
-    def entry_power(self, index: int, n: int) -> Value:
-        return vpow(self.entry(index), n)
+    def apply(self, x):
+        return SparseVector.from_pairs(
+            x.space, ((i, vmul(v, self.entry(i))) for i, v in _sparse(self, x).entries))
+
+    def power(self, x, n):
+        return SparseVector.from_pairs(
+            x.space, ((i, vmul(v, vpow(self.entry(i), n)))
+                      for i, v in _sparse(self, x).entries))
+
+    def period_bound(self, x):
+        if not (isinstance(x, SparseVector) and x.exact):
+            return None
+        out = 1
+        for i in x.support:
+            o = _phase_order(self.entry(i))
+            if o is None:
+                return None
+            out = math.lcm(out, o)
+        return out
+
+    def describe(self):
+        mods = [float(vabs(self.entry(n))) for n in range(1, 5)]
+        uni = all(abs(m - 1.0) <= 1e-12 for m in mods)
+        entries = (f"rot({self.turns.source}) turns" if self.turns is not None
+                   else self.values.source)
+        return [
+            "kind: diagonal (coordinatewise multiplication) operator",
+            f"entries: lambda_n = {entries}",
+            f"first moduli: {', '.join(f'{m:.6g}' for m in mods)}",
+            f"all-unimodular head: {uni}",
+            "notes: unimodular entries make every finitely supported vector",
+            "       return along simultaneous rotation times; any off-circle",
+            "       entry kills recurrence of the touched coordinate",
+        ]
 
 
 @dataclass(frozen=True)
-class RowRotation:
+class RowRotation(Operator):
     """Rotate every dyadic row one step: ``(Tx)_(k,j) = x_(k, (j+1) mod 2^k)``."""
 
     space: DyadicRowSpace = DyadicRowSpace()
 
+    def apply(self, x):
+        return self.power(x, 1)
+
+    def power(self, x, n):
+        if isinstance(x, RowState):
+            return RowState(x.offset + n)
+        if isinstance(x, FiniteRowVector):
+            return x.rotate(n)
+        raise SpaceMismatch("row rotation acts on row-space vectors")
+
+    def period_bound(self, x):
+        if isinstance(x, FiniteRowVector):
+            return math.lcm(*(1 << k for k, _, _ in x.entries))
+        return None        # the one-hot pattern state never returns exactly
+
+    def describe(self):
+        return [
+            "kind: row-wise cyclic rotation of a doubly indexed dyadic array",
+            "space: rows k hold 2^k entries; seminorm p_n adds a weight-k strip",
+            "       just right of each row midpoint",
+            "notes: the distinguished one-hot pattern returns within 2^-l of",
+            "       itself along the multiples of 2^l, yet its orbit seminorms",
+            "       grow without bound along dyadic probe times",
+        ]
+
 
 @dataclass(frozen=True)
-class AffineComposition:
+class AffineComposition(Operator):
     """``f -> f(az + b)`` on truncated power series.
 
     The symbol iterates exactly: ``phi^n(z) = a^n z + b_n`` with
@@ -364,7 +508,7 @@ class AffineComposition:
 
     def symbol_power(self, n: int) -> tuple[Value, complex]:
         an = vpow(self.a, n)
-        if exact_eq(self.a, Fraction(1)) or (isinstance(self.a, Phase) and self.a.is_one()):
+        if _is_one(self.a):
             return Fraction(1), n * to_complex(self.b)
         if isinstance(an, Phase) and an.is_one():
             return an, 0j
@@ -372,8 +516,7 @@ class AffineComposition:
         return an, bn
 
     def compose(self, x: SparseVector, a_n: Value, b_n: complex) -> SparseVector:
-        if b_n == 0 and (exact_eq(a_n, Fraction(1))
-                         or (isinstance(a_n, Phase) and a_n.is_one())):
+        if b_n == 0 and _is_one(a_n):
             return x
         deg = self.space.max_degree
         out = np.zeros(deg + 1, dtype=np.complex128)
@@ -387,9 +530,36 @@ class AffineComposition:
         pairs = [(d, out[d]) for d in range(deg + 1) if out[d] != 0]
         return SparseVector(self.space, tuple(pairs))
 
+    def apply(self, x):
+        return self.compose(_sparse(self, x), self.a, to_complex(self.b))
+
+    def power(self, x, n):
+        a_n, b_n = self.symbol_power(n)
+        return self.compose(_sparse(self, x), a_n, b_n)
+
+    def period_bound(self, x):
+        # the symbol's order is a period of every f, float coefficients included
+        if not isinstance(x, SparseVector):
+            return None
+        if all(i == 0 for i, _ in x.entries):
+            return 1
+        if _is_one(self.a):
+            return 1 if _is_zero(self.b) else None
+        return _phase_order(self.a)
+
+    def describe(self):
+        return [
+            "kind: affine composition f -> f(az + b) on truncated power series",
+            f"symbol: a = {to_complex(self.a):.6g}, b = {to_complex(self.b):.6g}, "
+            f"degree cap {self.space.max_degree}",
+            "notes: |a| = 1 makes the symbol a rigid motion of the plane and the",
+            "       operator recurrent on polynomials; the iterated symbol is",
+            "       a^n z + b(a^n-1)/(a-1)",
+        ]
+
 
 @dataclass(frozen=True)
-class Matrix:
+class Matrix(Operator):
     """Finite-dimensional operator, stored row-major as nested tuples."""
 
     rows: tuple[tuple[complex, ...], ...]
@@ -435,35 +605,92 @@ class Matrix:
             return None
         return S, lam, Sinv, cond
 
+    def apply(self, x):
+        vec = _sparse(self, x).to_dense(self.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.array @ vec
+        return SparseVector.from_pairs(
+            x.space, ((i + 1, complex(out[i])) for i in range(self.n)))
+
+    def power(self, x, n):
+        vec = _sparse(self, x).to_dense(self.n)
+        if self.eigen_system is not None:
+            S, lam, Sinv, _ = self.eigen_system
+            out = S @ (_stable_powers(lam, n) * (Sinv @ vec))
+        else:
+            out = vec
+            for _ in range(n):
+                out = self.array @ out
+        return SparseVector.from_pairs(
+            x.space, ((i + 1, complex(out[i])) for i in range(self.n)))
+
+    def describe(self):
+        eig = eigen_structure(self)
+        crit = eig.diagonalizable and eig.all_unimodular
+        return [
+            f"kind: matrix operator on C^{self.n}",
+            f"eigenvalues: {', '.join(f'{z:.6g}' for z in eig.eigenvalues)}",
+            f"diagonalizable: {eig.diagonalizable}; all unimodular: {eig.all_unimodular}",
+            f"recurrence criterion (diagonalizable with unimodular spectrum): {crit}",
+        ]
+
 
 @dataclass(frozen=True)
-class Scaled:
+class Scaled(Operator):
     """``lambda * T`` for a scalar factor, usually unimodular."""
 
-    base: "Operator"
+    base: Operator
     factor: Value
+
+    @property
+    def space(self) -> Space:
+        return self.base.space
+
+    def apply(self, x):
+        return _scaled(self.base.apply(x), self.factor)
+
+    def power(self, x, n):
+        return _scaled(self.base.power(x, n), vpow(self.factor, n))
+
+    def period_bound(self, x):
+        b = self.base.period_bound(x)
+        o = _phase_order(self.factor)
+        return None if b is None or o is None else math.lcm(b, o)
+
+    def describe(self):
+        return [f"kind: scalar multiple by {to_complex(self.factor):.6g} of",
+                *self.base.describe()]
 
 
 @dataclass(frozen=True)
-class Power:
+class Power(Operator):
     """``T^p`` applied as p elementary steps per unit of time."""
 
-    base: "Operator"
+    base: Operator
     p: int
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("power must be >= 1")
 
+    @property
+    def space(self) -> Space:
+        return self.base.space
 
-Operator = Union[BlockCycle, WeightedBackwardShift, Diagonal, RowRotation,
-                 AffineComposition, Matrix, Scaled, Power]
+    def apply(self, x):
+        for _ in range(self.p):
+            x = self.base.apply(x)
+        return x
 
+    def power(self, x, n):
+        return self.base.power(x, self.p * n)
 
-def operator_space(op: Operator) -> Space:
-    if isinstance(op, (Scaled, Power)):
-        return operator_space(op.base)
-    return op.space
+    def period_bound(self, x):
+        b = self.base.period_bound(x)
+        return None if b is None else b // math.gcd(b, self.p)
+
+    def describe(self):
+        return [f"kind: power {self.p} of", *self.base.describe()]
 
 
 # ---------------------------------------------------------------------------
@@ -488,108 +715,30 @@ def _guard_float_weight(weight: Fraction, value: Value) -> Value:
 
 def apply(op: Operator, x: Vector) -> Vector:
     """One exact application of the operator."""
-    if isinstance(op, Power):
-        for _ in range(op.p):
-            x = apply(op.base, x)
-        return x
-    if isinstance(op, Scaled):
-        y = apply(op.base, x)
-        if isinstance(y, SparseVector):
-            return y.scale(op.factor)
-        raise SpaceMismatch("scalar multiples need sparse-representable states")
-    if isinstance(op, RowRotation):
-        if isinstance(x, RowState):
-            return RowState(x.offset + 1)
-        if isinstance(x, FiniteRowVector):
-            return x.rotate(1)
-        raise SpaceMismatch("row rotation acts on row-space vectors")
-    if not isinstance(x, SparseVector):
-        raise SpaceMismatch(f"{type(op).__name__} acts on sparse vectors")
-
-    if isinstance(op, BlockCycle):
-        pairs = {}
-        for i, v in x.entries:
-            t, w = op.step(i)
-            pairs[t] = _guard_float_weight(w, v)
-        return SparseVector.from_pairs(x.space, pairs.items())
-    if isinstance(op, WeightedBackwardShift):
-        pairs = []
-        for i, v in x.entries:
-            if i == 1 and not op.bilateral:
-                continue
-            pairs.append((i - 1, vmul(v, op.weight(i))))
-        return SparseVector.from_pairs(x.space, pairs)
-    if isinstance(op, Diagonal):
-        return SparseVector.from_pairs(
-            x.space, ((i, vmul(v, op.entry(i))) for i, v in x.entries))
-    if isinstance(op, AffineComposition):
-        return op.compose(x, op.a, to_complex(op.b))
-    if isinstance(op, Matrix):
-        vec = x.to_dense(op.n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = op.array @ vec
-        return SparseVector.from_pairs(
-            x.space, ((i + 1, complex(out[i])) for i in range(op.n)))
-    raise SpaceMismatch(f"unsupported operator {type(op).__name__}")
+    return op.apply(x)
 
 
 def power_apply(op: Operator, x: Vector, n: int) -> Vector:
     """``T^n x`` through the closed form where one exists, else by iteration."""
     if n == 0:
         return x
-    if isinstance(op, Power):
-        return power_apply(op.base, x, op.p * n)
-    if isinstance(op, Scaled):
-        y = power_apply(op.base, x, n)
-        factor_n = vpow(op.factor, n)
-        if isinstance(y, SparseVector):
-            return y.scale(factor_n)
-        raise SpaceMismatch("scalar multiples need sparse-representable states")
-    if isinstance(op, RowRotation):
-        if isinstance(x, RowState):
-            return RowState(x.offset + n)
-        if isinstance(x, FiniteRowVector):
-            return x.rotate(n)
-        raise SpaceMismatch("row rotation acts on row-space vectors")
-    if isinstance(op, BlockCycle):
-        pairs = {}
-        for i, v in x.entries:
-            t, w = op.jump(i, n)
-            prev = pairs.get(t)
-            val = _guard_float_weight(w, v)
-            pairs[t] = val if prev is None else _merge(prev, val)
-        return SparseVector.from_pairs(x.space, pairs.items())
-    if isinstance(op, Diagonal):
-        return SparseVector.from_pairs(
-            x.space, ((i, vmul(v, op.entry_power(i, n))) for i, v in x.entries))
-    if isinstance(op, WeightedBackwardShift):
-        pairs = []
-        for i, v in x.entries:
-            if i - n >= 1 or op.bilateral:
-                pairs.append((i - n, vmul(v, op.weight_product(i, n))))
-        return SparseVector.from_pairs(x.space, pairs)
-    if isinstance(op, AffineComposition):
-        a_n, b_n = op.symbol_power(n)
-        return op.compose(x, a_n, b_n)
-    if isinstance(op, Matrix):
-        sys = op.eigen_system
-        vec = x.to_dense(op.n)
-        if sys is not None:
-            S, lam, Sinv, _ = sys
-            out = S @ (_stable_powers(lam, n) * (Sinv @ vec))
-        else:
-            out = vec
-            for _ in range(n):
-                out = op.array @ out
-        return SparseVector.from_pairs(
-            x.space, ((i + 1, complex(out[i])) for i in range(op.n)))
-    raise SpaceMismatch(f"unsupported operator {type(op).__name__}")
+    return op.power(x, n)
+
+
+def _scaled(y: Vector, factor: Value) -> SparseVector:
+    if isinstance(y, SparseVector):
+        return y.scale(factor)
+    raise SpaceMismatch("scalar multiples need sparse-representable states")
 
 
 def _merge(a: Value, b: Value) -> Value:
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
         return Fraction(a) + Fraction(b)
     return to_complex(a) + to_complex(b)
+
+
+def _is_one(v: Value) -> bool:
+    return exact_eq(v, Fraction(1)) or (isinstance(v, Phase) and v.is_one())
 
 
 def _stable_powers(lam: np.ndarray, n: int) -> np.ndarray:
@@ -641,84 +790,22 @@ def _phase_order(v: Value) -> Optional[int]:
     return None
 
 
-def _period_bound(op: Operator, x: Vector) -> Optional[int]:
-    """An exact n with T^n x = x, when one is symbolically available."""
-    if isinstance(x, SparseVector) and not x.entries:
-        return 1                   # the zero vector is fixed by every operator
-    if isinstance(x, FiniteRowVector) and not x.entries:
-        return 1
-    if isinstance(op, Power):
-        b = _period_bound(op.base, x)
-        return None if b is None else b // math.gcd(b, op.p)
-    if isinstance(op, Scaled):
-        b = _period_bound(op.base, x)
-        o = _phase_order(op.factor)
-        if b is None or o is None:
-            return None
-        return b * o // math.gcd(b, o)
-    if isinstance(op, BlockCycle) and isinstance(x, SparseVector):
-        if not x.exact:
-            return None
-        out = 1
-        for i in x.support:
-            if i > 1:
-                out = _lcm(out, 1 << (i.bit_length() - 1))
-        return out
-    if isinstance(op, Diagonal) and isinstance(x, SparseVector):
-        if not x.exact:
-            return None
-        out = 1
-        for i in x.support:
-            o = _phase_order(op.entry(i))
-            if o is None:
-                return None
-            out = _lcm(out, o)
-        return out
-    if isinstance(op, RowRotation):
-        if isinstance(x, FiniteRowVector):
-            out = 1
-            for k, _, _ in x.entries:
-                out = _lcm(out, 1 << k)
-            return out
-        return None        # the one-hot pattern state never returns exactly
-    if isinstance(op, AffineComposition) and isinstance(x, SparseVector):
-        if all(i == 0 for i, _ in x.entries):
-            return 1
-        if exact_eq(op.a, Fraction(1)) or (isinstance(op.a, Phase) and op.a.is_one()):
-            return 1 if _is_zero_complex(op.b) else None
-        o = _phase_order(op.a)
-        return o
-    return None
-
-
-def _is_zero_complex(v: Value) -> bool:
-    if isinstance(v, (int, Fraction)):
-        return v == 0
-    if isinstance(v, Phase):
-        return v.mag == 0
-    return to_complex(v) == 0
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def exact_state_period(op: Operator, x: Vector) -> Optional[int]:
     """Minimal exact period of x under the operator, or None.
 
-    Starts from a symbolic bound (block sizes, phase orders, symbol orders)
-    and minimizes over its divisors with exact state comparisons.  Floating
-    data never yields a period.
+    Starts from the operator's symbolic bound (block sizes, phase orders,
+    symbol orders) and minimizes over its divisors with exact state
+    comparisons.
     """
-    bound = _period_bound(op, x)
+    if isinstance(x, (SparseVector, FiniteRowVector)) and not x.entries:
+        return 1                   # the zero vector is fixed by every operator
+    bound = op.period_bound(x)
     if bound is None:
         return None
-    best = bound
     for d in sorted(_divisors(bound)):
-        if d < best and state_exact_eq(power_apply(op, x, d), x):
-            best = d
-            break
-    return best
+        if d < bound and state_exact_eq(power_apply(op, x, d), x):
+            return d
+    return bound
 
 
 def _divisors(n: int) -> list[int]:
@@ -736,78 +823,29 @@ def _divisors(n: int) -> list[int]:
 # seminorms
 # ---------------------------------------------------------------------------
 
+def _exact_or_float(combine, terms):
+    """Fold Fraction and float terms with ``combine`` (``operator.add`` or
+    ``max``): a Fraction when every term is one.  Otherwise the float terms
+    are folded in order and the exact part joins once, at the end, so a
+    float result does not depend on where the exact terms sat."""
+    exact, floating, all_exact = Fraction(0), 0.0, True
+    for t in terms:
+        if isinstance(t, Fraction):
+            exact = combine(exact, t)
+        else:
+            all_exact = False
+            floating = combine(floating, float(t))
+    return exact if all_exact else combine(floating, float(exact))
+
+
 def seminorm(space: Space, index: int, x: Vector):
     """Seminorm of the given index; exact (Fraction/ExactSqrt) where possible."""
     if isinstance(space, DyadicRowSpace):
         return _row_seminorm(index, x)
     if not isinstance(x, SparseVector):
         raise SpaceMismatch("expected a sparse vector")
-    if isinstance(space, (SequenceLp, FiniteDim)):
-        p = space.p if isinstance(space, SequenceLp) else 2
-        return _lp_norm(p, (v for _, v in x.entries))
-    if isinstance(space, SequenceSup):
-        vals = [vabs(v) for _, v in x.entries]
-        return _max_abs(vals)
-    if isinstance(space, EntireCoefficients):
-        radius = space.radii[index]
-        total = 0.0
-        exact_total = Fraction(0)
-        exact_ok = True
-        for d, v in x.entries:
-            a = vabs(v)
-            if isinstance(a, Fraction):
-                exact_total += a * radius ** d
-            else:
-                exact_ok = False
-                total += float(a) * float(radius) ** d
-        if exact_ok:
-            return exact_total
-        return total + float(exact_total)
-    raise SpaceMismatch(f"unknown space {space!r}")
-
-
-def _lp_norm(p: int, values):
-    vals = list(values)
-    if p == 2:
-        total = Fraction(0)
-        exact_ok = True
-        float_total = 0.0
-        for v in vals:
-            a2 = abs2(v)
-            if isinstance(a2, Fraction):
-                total += a2
-            else:
-                exact_ok = False
-                float_total += float(a2)
-        if exact_ok:
-            return ExactSqrt(total)
-        return math.sqrt(float_total + float(total))
-    if p == 1:
-        total = Fraction(0)
-        exact_ok = True
-        float_total = 0.0
-        for v in vals:
-            a = vabs(v)
-            if isinstance(a, Fraction):
-                total += a
-            else:
-                exact_ok = False
-                float_total += float(a)
-        return total if exact_ok else float_total + float(total)
-    return sum(float(vabs(v)) ** p for v in vals) ** (1.0 / p)
-
-
-def _max_abs(vals):
-    out: Value = Fraction(0)
-    exact_ok = True
-    float_out = 0.0
-    for a in vals:
-        if isinstance(a, Fraction):
-            out = max(out, a)
-        else:
-            exact_ok = False
-            float_out = max(float_out, float(a))
-    return out if exact_ok else max(float_out, float(out))
+    return _coordinate_seminorm(space, index, x.support, abs2, vabs,
+                                [v for _, v in x.entries])
 
 
 def diff_seminorm(space: Space, index: int, x: Vector, y: Vector):
@@ -818,35 +856,29 @@ def diff_seminorm(space: Space, index: int, x: Vector, y: Vector):
         raise SpaceMismatch("expected sparse vectors")
     xd, yd = x.as_dict, y.as_dict
     support = sorted(set(xd) | set(yd))
+    zero = Fraction(0)
+    return _coordinate_seminorm(space, index, support, diff_abs2, _abs_diff,
+                                [xd.get(i, zero) for i in support],
+                                [yd.get(i, zero) for i in support])
+
+
+def _coordinate_seminorm(space: Space, index: int, support, mod2, mod, *columns):
+    """Seminorm of the vector whose coordinate ``support[k]`` has modulus
+    ``mod(*row k of columns)`` and squared modulus ``mod2(*row k)``."""
     if isinstance(space, (SequenceLp, FiniteDim)):
         p = space.p if isinstance(space, SequenceLp) else 2
         if p == 2:
-            total = Fraction(0)
-            exact_ok = True
-            float_total = 0.0
-            for i in support:
-                d2 = diff_abs2(xd.get(i, Fraction(0)), yd.get(i, Fraction(0)))
-                if isinstance(d2, Fraction):
-                    total += d2
-                else:
-                    exact_ok = False
-                    float_total += float(d2)
-            if exact_ok:
-                return ExactSqrt(total)
-            return math.sqrt(float_total + float(total))
-        diffs = [_abs_diff(xd.get(i, Fraction(0)), yd.get(i, Fraction(0)))
-                 for i in support]
+            sq = _exact_or_float(operator.add, map(mod2, *columns))
+            return ExactSqrt(sq) if isinstance(sq, Fraction) else math.sqrt(sq)
         if p == 1:
-            return _sum_maybe_exact(diffs)
-        return sum(float(d) ** p for d in diffs) ** (1.0 / p)
+            return _exact_or_float(operator.add, map(mod, *columns))
+        return sum(float(a) ** p for a in map(mod, *columns)) ** (1.0 / p)
     if isinstance(space, SequenceSup):
-        return _max_abs([_abs_diff(xd.get(i, Fraction(0)), yd.get(i, Fraction(0)))
-                         for i in support])
+        return _exact_or_float(max, map(mod, *columns))
     if isinstance(space, EntireCoefficients):
         radius = space.radii[index]
-        diffs = [(i, _abs_diff(xd.get(i, Fraction(0)), yd.get(i, Fraction(0))))
-                 for i in support]
-        return _sum_maybe_exact([_scale_pow(a, radius, d) for d, a in diffs])
+        return _exact_or_float(operator.add, (_scale_pow(a, radius, d) for a, d
+                                              in zip(map(mod, *columns), support)))
     raise SpaceMismatch(f"unknown space {space!r}")
 
 
@@ -865,19 +897,6 @@ def _abs_diff(a: Value, b: Value):
             return Fraction(num, den)
         return float(ExactSqrt(d2))
     return math.sqrt(d2)
-
-
-def _sum_maybe_exact(vals):
-    total = Fraction(0)
-    exact_ok = True
-    float_total = 0.0
-    for v in vals:
-        if isinstance(v, Fraction):
-            total += v
-        else:
-            exact_ok = False
-            float_total += float(v)
-    return total if exact_ok else float_total + float(total)
 
 
 # -- dyadic row space closed forms ------------------------------------------
@@ -915,13 +934,14 @@ def _row_seminorm(index: int, x: Vector):
         first_parts = []
         second_parts = []
         for k, cells in rows.items():
-            peak = _max_abs([vabs(v) for _, v in cells])
+            peak = _exact_or_float(max, (vabs(v) for _, v in cells))
             first_parts.append(_scale_pow(peak, Fraction(1, 1 << k), 1))
             if k >= 2:
                 watched = [vabs(v) for j, v in cells if _watch_hit(j, k, index)]
                 if watched:
-                    second_parts.append(_scale_pow(_max_abs(watched), Fraction(k), 1))
-        return _sum_maybe_exact(first_parts + second_parts)
+                    second_parts.append(
+                        _scale_pow(_exact_or_float(max, watched), Fraction(k), 1))
+        return _exact_or_float(operator.add, first_parts + second_parts)
     raise SpaceMismatch("row seminorms apply to row-space vectors")
 
 

@@ -33,8 +33,7 @@ from .families import IndexWindow
 from .operators import (Diagonal, FiniteDim, Matrix, Operator, Power,
                         RowRotation, RowState, Scaled, SequenceLp,
                         SparseVector, Vector, apply, diff_seminorm,
-                        exact_state_period, operator_space, power_apply,
-                        seminorm)
+                        exact_state_period, power_apply, seminorm)
 from .values import ExactSqrt, Phase, norm_lt, to_complex, vabs
 
 __all__ = [
@@ -135,35 +134,35 @@ def distance_profile(op: Operator, x: Vector, seminorms: tuple[int, ...],
         return DistanceProfile(vals, N, period=period, exact=True)
 
     base, factor, stride = _peel(op)
-    if isinstance(base, RowRotation) and isinstance(x, RowState) and factor is None:
-        return _rowstate_profile(x, seminorms, N, stride)
-    if isinstance(base, Diagonal) and _l2_like(operator_space(base)) \
-            and isinstance(x, SparseVector):
-        return _diagonal_profile(base, factor, stride, x, N)
-    if isinstance(base, Matrix):
-        merged = base if factor is None else Matrix.from_array(
-            to_complex(factor) * base.array)
-        if merged.eigen_system is not None:
-            return _matrix_profile(merged, stride, x, N)
-    scaled = _scaled_periodic_base(op, x)
+    fast = _FAST_PATHS.get(type(base))
+    prof = None if fast is None else fast(base, factor, stride, x, seminorms, N)
+    if prof is not None:
+        return prof
+    scaled = _scaled_periodic_base(base, factor, stride, x)
     if scaled is not None:
-        inner, fac, stride_, p = scaled
-        return scaled_profile(inner, fac, stride_, p, x, seminorms, N)
+        inner, p = scaled
+        return scaled_profile(inner, factor, stride, p, x, seminorms, N)
     return _stepwise_profile(op, x, seminorms, N)
 
 
 def _peel(op: Operator):
-    """Split Scaled/Power wrappers: (base, accumulated factor, stride)."""
+    """Split Scaled/Power wrappers: (base, factor, stride) with one step of
+    op equal to ``(factor * base)^stride``.
+
+    A Power inside a Scaled stays in the base: ``f T^p`` would need the p-th
+    root of f as its factor.
+    """
     factor = None
     stride = 1
     while isinstance(op, (Scaled, Power)):
         if isinstance(op, Power):
+            if factor is not None:
+                break
             stride *= op.p
-            op = op.base
         else:
             f = op.factor
             factor = f if factor is None else _mul_factor(factor, f)
-            op = op.base
+        op = op.base
     return op, factor, stride
 
 
@@ -180,13 +179,7 @@ def _l2_like(space) -> bool:
 
 def _distance_at(op: Operator, x: Vector, seminorms: tuple[int, ...], n: int):
     y = power_apply(op, x, n)
-    space = _vector_space(x)
-    vals = [diff_seminorm(space, i, y, x) for i in seminorms]
-    return _max_norm(vals)
-
-
-def _vector_space(x: Vector):
-    return x.space
+    return _max_norm([diff_seminorm(x.space, i, y, x) for i in seminorms])
 
 
 def _norm_gt(a, b) -> bool:
@@ -207,7 +200,7 @@ def _max_norm(vals):
 
 def _stepwise_profile(op: Operator, x: Vector, seminorms: tuple[int, ...],
                       N: int) -> DistanceProfile:
-    space = _vector_space(x)
+    space = x.space
     vals = []
     y = x
     exact = True
@@ -222,13 +215,15 @@ def _stepwise_profile(op: Operator, x: Vector, seminorms: tuple[int, ...],
 
 # -- row rotation pattern ----------------------------------------------------
 
-def _rowstate_profile(x: RowState, seminorms: tuple[int, ...], N: int,
-                      stride: int) -> DistanceProfile:
+def _rowstate_profile(base: RowRotation, factor, stride: int, x: Vector,
+                      seminorms: tuple[int, ...], N: int) -> Optional[DistanceProfile]:
     """Profile of the one-hot pattern: 2^-v2(n) plus integer watch hits.
 
     Every profile value is a dyadic rational with small exponent, so the
     float64 array below is exact, and the window decisions are too.
     """
+    if not isinstance(x, RowState) or factor is not None:
+        return None
     n = np.arange(0, N + 1, dtype=np.int64) * stride
     shifted = n + x.offset
     lowbit = np.where(n > 0, n & -n, 1).astype(np.float64)
@@ -256,14 +251,16 @@ def _rowstate_profile(x: RowState, seminorms: tuple[int, ...], N: int,
 
 # -- diagonal closed form ----------------------------------------------------
 
-def _diagonal_profile(op: Diagonal, factor, stride: int, x: SparseVector,
-                      N: int) -> DistanceProfile:
+def _diagonal_profile(op: Diagonal, factor, stride: int, x: Vector,
+                      seminorms: tuple[int, ...], N: int) -> Optional[DistanceProfile]:
     """l2 distance of a diagonal (optionally scaled) orbit, vectorized in n.
 
     Coordinate j contributes |x_j|^2 |f^n lam_j^n - 1|^2; angles of each
     power are reduced modulo one turn before exponentiation, so unimodular
     rotations never drift.
     """
+    if not (_l2_like(op.space) and isinstance(x, SparseVector)):
+        return None
     n = np.arange(0, N + 1, dtype=np.float64) * stride
     total = np.zeros_like(n)
     for idx, v in x.entries:
@@ -289,8 +286,11 @@ def _diagonal_profile(op: Diagonal, factor, stride: int, x: SparseVector,
 
 # -- matrix closed form ------------------------------------------------------
 
-def _matrix_profile(mat: Matrix, stride: int, x: SparseVector,
-                    N: int) -> DistanceProfile:
+def _matrix_profile(base: Matrix, factor, stride: int, x: Vector,
+                    seminorms: tuple[int, ...], N: int) -> Optional[DistanceProfile]:
+    mat = base if factor is None else Matrix.from_array(to_complex(factor) * base.array)
+    if mat.eigen_system is None:
+        return None
     S, lam, Sinv, _ = mat.eigen_system
     vec = x.to_dense(mat.n)
     c = Sinv @ vec
@@ -313,20 +313,29 @@ def _matrix_profile(mat: Matrix, stride: int, x: SparseVector,
     return DistanceProfile(out, N, exact=False)
 
 
+# closed-form profiles by the type of the peeled base operator; each takes
+# (base, factor, stride, x, seminorms, N) and returns None when it does not apply
+_FAST_PATHS = {
+    RowRotation: _rowstate_profile,
+    Diagonal: _diagonal_profile,
+    Matrix: _matrix_profile,
+}
+
+
 # -- unimodular multiple of an exactly periodic base --------------------------
 
-def _scaled_periodic_base(op: Operator, x: Vector):
-    """Detect ``factor * T`` with T having an exact periodic state at x."""
-    base, factor, stride = _peel(op)
+def _scaled_periodic_base(base: Operator, factor, stride: int, x: Vector):
+    """Detect ``factor * T`` with T having an exact periodic state at x:
+    (the powered base, its period) or None."""
     if factor is None or not isinstance(x, SparseVector):
         return None
-    if not _l2_like(operator_space(base)):
+    if not _l2_like(base.space):
         return None
     inner = Power(base, stride) if stride > 1 else base
     p = exact_state_period(inner, x)
     if p is None or p > 1 << 16:
         return None
-    return inner, factor, stride, p
+    return inner, p
 
 
 def scaled_profile(base: Operator, factor, stride: int, period: int,
@@ -420,7 +429,7 @@ def growth_schedule(N: int, density: int = 96) -> list[int]:
 def orbit_growth(op: Operator, x: Vector, seminorm_index: int = 0,
                  N: int = 10_000) -> GrowthCurve:
     """Sample ``p(T^n x)`` on a logarithmic schedule plus the dyadic probes."""
-    space = _vector_space(x)
+    space = x.space
     samples = []
     for n in growth_schedule(N):
         y = power_apply(op, x, n)
@@ -440,7 +449,7 @@ def orbit_growth(op: Operator, x: Vector, seminorm_index: int = 0,
 
 def orbit_norms(op: Operator, x: Vector, seminorm_index: int, N: int) -> np.ndarray:
     """Float norms of the whole orbit prefix (overflow saturates to inf)."""
-    space = _vector_space(x)
+    space = x.space
     period = exact_state_period(op, x)
     steps = min(N, period - 1) if period is not None else N
     out = np.empty(N + 1, dtype=np.float64)

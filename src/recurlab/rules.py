@@ -161,6 +161,16 @@ def _eval(node, n: int) -> Scalar:
     raise AssertionError(kind)
 
 
+def _integer_valued(node) -> bool:
+    """Does the node evaluate to an integer at every integer n?"""
+    kind = node[0]
+    if kind == "const":
+        return node[1].denominator == 1
+    if kind in ("neg", "+", "-", "*"):
+        return all(_integer_valued(c) for c in node[1:])
+    return kind == "n"
+
+
 def _combine(a: Scalar, b: Scalar, op) -> Scalar:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return op(a, b)
@@ -190,6 +200,8 @@ class Rule:
                     s = math.isqrt(v[1].denominator)
                     return r * r == v[1].numerator and s * s == v[1].denominator
                 return False
+            if node[0] == "^" and not _integer_valued(node[2]):
+                return False        # a non-integer exponent evaluates in floats
             return all(scan(c) for c in node[1:] if isinstance(c, tuple))
         return scan(self._ast)
 
@@ -201,7 +213,3 @@ class Rule:
 
     def __repr__(self):
         return f"Rule({self.source!r})"
-
-
-def constant_rule(value) -> Rule:
-    return Rule(str(Fraction(value)))

@@ -126,8 +126,6 @@ def rot(turns) -> Phase:
 
 
 def to_complex(v: Value) -> complex:
-    if isinstance(v, Phase):
-        return complex(v)
     return complex(v)
 
 
@@ -280,10 +278,7 @@ class ExactSqrt:
     def _cmp_sq(self, other) -> Fraction:
         if isinstance(other, ExactSqrt):
             return other.sq
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-        else:
-            f = Fraction(other)
+        f = Fraction(other)
         if f < 0:
             raise ValueError("comparing ExactSqrt with a negative bound")
         return f * f

@@ -5,6 +5,7 @@ import pytest
 
 from recurlab import (AffineComposition, BlockCycle, Diagonal, Matrix, Phase,
                       RowRotation, RowState, WeightedBackwardShift)
+import recurlab.cli as cli
 from recurlab.cli import main
 from recurlab.config import (ConfigError, parse_config, parse_operator,
                              parse_scalar, parse_set_expression, parse_vector)
@@ -170,6 +171,17 @@ class TestRunner:
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_suite_config_error_runs_no_experiment(self, tmp_path, monkeypatch,
+                                                   capsys):
+        calls = []
+        monkeypatch.setattr(cli, "execute_experiment",
+                            lambda *args: calls.append(args))
+        text = SMALL_CONFIG.replace("turns = 1/4\n", "")
+        cfg = self.write(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "needs turns=" in capsys.readouterr().err
+        assert calls == []
 
     def test_failure_isolation(self, tmp_path, capsys):
         # float precision cannot carry the deep block weights; that one

@@ -121,6 +121,15 @@ class TestShift:
         assert d == ExactSqrt(Fraction(1, 4 ** 11))
 
 
+class TestRules:
+    def test_is_exact_needs_integer_exponents(self):
+        for text in ("2^(1/2)", "2^(n/2)"):
+            assert not Rule(text).is_exact, text
+        for text in ("1/2^n", "(n+1)/n", "2^(-n)"):
+            assert Rule(text).is_exact, text
+            assert isinstance(Rule(text)(3), Fraction), text
+
+
 class TestDiagonal:
     def test_rational_turns_exact(self):
         d = Diagonal(turns=Rule("1/2^n"))

@@ -1,0 +1,169 @@
+"""Differential property tests of the distance-profile strategies.
+
+Every strategy ``distance_profile`` can pick (periodic tiling, the
+row-pattern, diagonal and matrix closed forms, the scaled-periodic form)
+must agree value by value with plain stepwise iteration: exactly where both
+sides are exact, within a relative 1e-9 otherwise.  Windows cut from one
+profile must grow with epsilon.
+"""
+
+import cmath
+import math
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from recurlab import (BlockCycle, Diagonal, ExactSqrt, FiniteDim, Matrix,
+                      Phase, Power, RowRotation, RowState, Rule, Scaled,
+                      SequenceLp, SparseVector, orbits)
+from recurlab.orbits import _stepwise_profile, distance_profile
+
+from conftest import rotation_matrix
+
+N = 64
+L2 = SequenceLp(2)
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=20)
+
+# golden-ratio multiples are badly approximable: n t stays about 3e-4 or
+# more from the nearest integer for n <= 3 N, so no orbit point comes close
+# enough to x for float cancellation to eat the relative tolerance
+golden_turns = st.integers(1, 8).map(lambda k: k * (math.sqrt(5) - 1) / 2 % 1.0)
+irrational_factor = golden_turns.map(lambda t: Phase(Fraction(1), t))
+small_rational = st.fractions(-4, 4, max_denominator=4).filter(bool)
+
+
+def sparse(space, max_index):
+    pairs = st.dictionaries(st.integers(1, max_index), small_rational,
+                            min_size=1, max_size=3)
+    return pairs.map(lambda d: SparseVector.from_pairs(space, d.items()))
+
+
+def strategy_taken(op, x, seminorms):
+    """The profile and the names of the strategies that produced it."""
+    taken = []
+
+    def spy(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            if out is not None:
+                taken.append(fn.__name__)
+            return out
+        return wrapped
+
+    fast = {kind: spy(fn) for kind, fn in orbits._FAST_PATHS.items()}
+    with mock.patch.dict(orbits._FAST_PATHS, fast), \
+            mock.patch.object(orbits, "scaled_profile", spy(orbits.scaled_profile)):
+        prof = distance_profile(op, x, seminorms, N)
+    if prof.period is not None:
+        taken.append("periodic")
+    return prof, taken
+
+
+def check_against_stepwise(op, x, seminorms, strategy):
+    prof, taken = strategy_taken(op, x, seminorms)
+    assert taken == [strategy]
+    slow = _stepwise_profile(op, x, seminorms, N)
+    for n in range(N + 1):
+        a, b = prof.value(n), slow.value(n)
+        if isinstance(a, (Fraction, ExactSqrt)) and isinstance(b, (Fraction, ExactSqrt)):
+            assert a == b, n
+        elif prof.exact and isinstance(b, Fraction):
+            assert Fraction(float(a)) == b, n       # exact dyadic floats
+        else:
+            assert math.isclose(float(a), float(b), rel_tol=1e-9), n
+    radii = sorted({Fraction(float(slow.value(n))) for n in range(0, N + 1, 8)}
+                   | {Fraction(1, 4), Fraction(1), Fraction(4)})
+    windows = [set(prof.window(eps).elements) for eps in radii if eps > 0]
+    assert all(lo <= hi for lo, hi in zip(windows, windows[1:]))
+
+
+@st.composite
+def periodic_cases(draw):
+    x = draw(sparse(L2, 31))
+    op = draw(st.sampled_from([
+        BlockCycle(),
+        Power(BlockCycle(), 3),
+        Scaled(BlockCycle(), Phase(Fraction(1), Fraction(1, 4))),
+        Scaled(BlockCycle(), Fraction(-1)),
+        Diagonal(turns=Rule("n/6")),
+        Power(Diagonal(turns=Rule("n/12")), 2),
+    ]))
+    return op, x
+
+
+@st.composite
+def diagonal_cases(draw):
+    kind = draw(st.sampled_from(["prime-turns", "irrational-turns", "values"]))
+    if kind == "prime-turns":      # order above N + 1: not tiled
+        q = draw(st.sampled_from([67, 71, 79, 97]))
+        op = Diagonal(turns=Rule(f"n/{q}"))
+    elif kind == "irrational-turns":
+        op = Diagonal(turns=Rule(f"{draw(st.integers(1, 5))}*n*(sqrt(5)-1)/2"))
+    else:
+        op = Diagonal(values=Rule(draw(st.sampled_from(
+            ["1/2", "-3/4", "5/4", "n/(n+1)"]))))
+    if draw(st.booleans()):
+        op = Scaled(op, draw(irrational_factor))
+    return Power(op, draw(st.integers(1, 3))), draw(sparse(L2, 6))
+
+
+@st.composite
+def matrix_cases(draw):
+    kind = draw(st.sampled_from(["rotation", "unitary-diagonal", "off-circle"]))
+    if kind == "rotation":
+        op = rotation_matrix(2 * math.pi * draw(golden_turns))
+    elif kind == "unitary-diagonal":
+        t1, t2 = draw(golden_turns), draw(golden_turns)
+        op = Matrix.from_array([[cmath.exp(2j * math.pi * t1), 0],
+                                [0, cmath.exp(2j * math.pi * t2)]])
+    else:
+        op = Matrix.from_array([[0.9, 0.5], [0, 1.1]])
+    if draw(st.booleans()):
+        op = Scaled(op, draw(irrational_factor))
+    return Power(op, draw(st.integers(1, 3))), draw(sparse(FiniteDim(2), 2))
+
+
+@st.composite
+def scaled_periodic_cases(draw):
+    op = Scaled(BlockCycle(), draw(irrational_factor))
+    p = draw(st.integers(1, 3))
+    if p > 1:
+        op = draw(st.sampled_from([Power(op, p), Scaled(Power(BlockCycle(), p),
+                                                        op.factor)]))
+    return op, draw(sparse(L2, 15))
+
+
+@PROPERTY
+@given(periodic_cases())
+def test_periodic_tiling_matches_stepwise(case):
+    check_against_stepwise(*case, (0,), "periodic")
+
+
+@PROPERTY
+@given(st.integers(0, 200), st.integers(1, 3),
+       st.sets(st.integers(1, 5), min_size=1, max_size=3))
+def test_rowstate_matches_stepwise(offset, p, seminorms):
+    op = RowRotation() if p == 1 else Power(RowRotation(), p)
+    check_against_stepwise(op, RowState(offset), tuple(sorted(seminorms)),
+                           "_rowstate_profile")
+
+
+@PROPERTY
+@given(diagonal_cases())
+def test_diagonal_closed_form_matches_stepwise(case):
+    check_against_stepwise(*case, (0,), "_diagonal_profile")
+
+
+@PROPERTY
+@given(matrix_cases())
+def test_matrix_closed_form_matches_stepwise(case):
+    check_against_stepwise(*case, (0,), "_matrix_profile")
+
+
+@PROPERTY
+@given(scaled_periodic_cases())
+def test_scaled_periodic_matches_stepwise(case):
+    check_against_stepwise(*case, (0,), "scaled_profile")
