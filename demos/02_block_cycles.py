@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from recurlab import (BlockCycle, Label, SequenceLp, SparseVector, Thresholds,
                       blockcycle_rrec_refutation, classify,
-                      power_bounded_probe, return_set)
+                      power_bounded_probe, return_sets)
 
 L2 = SequenceLp(2)
 bc = BlockCycle()
@@ -22,13 +22,12 @@ for k in (1, 2, 5, 9, 17, 33):
     print(f"  e_{k}: period {exact_state_period(bc, SparseVector.unit(L2, k))}")
 
 print("\nreturn windows of e_5")
-for eps in (Fraction(1, 2), Fraction(1, 10)):
-    rec = return_set(bc, SparseVector.unit(L2, 5), eps, (0,), 100)
-    print(f"  eps={eps}: window head {rec.window.elements[:6]} ... "
+grid = [Fraction(1, 2), Fraction(1, 10)]
+for rec in return_sets(bc, SparseVector.unit(L2, 5), grid, (0,), 100):
+    print(f"  eps={rec.epsilon}: window head {rec.window.elements[:6]} ... "
           f"(exact={rec.exact})")
 
-records = [return_set(bc, SparseVector.unit(L2, 5), e, (0,), 10_000)
-           for e in (Fraction(1, 2), Fraction(1, 10))]
+records = return_sets(bc, SparseVector.unit(L2, 5), grid, (0,), 10_000)
 verdict = classify(records, Thresholds())
 print(f"  classified: {verdict.label.name} period={verdict.period}")
 

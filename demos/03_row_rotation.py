@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from recurlab import (Label, RowRotation, RowState, classify,
                       continuity_bound_constant, diff_seminorm, orbit_growth,
-                      return_set, seminorm)
+                      return_sets, seminorm)
 
 rr = RowRotation()
 x = RowState(0)
@@ -39,7 +39,7 @@ for n in (1, 2, 3, 4):
     print(f"  n={n}: l={l}, constant {c}")
 
 grid = [Fraction(3, 32), Fraction(3, 512)]
-records = [return_set(rr, x, e, (1,), 40 * 256) for e in grid]
+records = return_sets(rr, x, grid, (1,), 40 * 256)
 verdict = classify(records)
 print(f"\nclassification: {verdict.label.name} "
       f"(windows are exact progressions, difference {verdict.periodic_like})")

@@ -24,7 +24,8 @@ from .operators import (AffineComposition, BlockCycle, Diagonal,
                         power_apply, seminorm, state_exact_eq)
 from .orbits import (CoveringReport, GrowthCurve, PowerBoundVerdict,
                      ReturnSetRecord, distance_profile, orbit_growth,
-                     power_bounded_probe, return_set, totally_bounded_probe)
+                     power_bounded_probe, return_set, return_sets,
+                     totally_bounded_probe)
 from .classify import (FamilyEvaluator, Label, LevelEvidence,
                        RecurrenceVerdict, RefutationCertificate, Thresholds,
                        blockcycle_rrec_refutation, classify,

@@ -26,7 +26,7 @@ from .operators import (Diagonal, Matrix, NumericalFailure, Operator, Power,
                         WeightedBackwardShift, apply, diff_seminorm,
                         eigen_structure, exact_state_period, power_apply,
                         seminorm, state_exact_eq)
-from .orbits import growth_schedule, return_set
+from .orbits import growth_schedule, return_sets
 from .rules import Rule
 from .values import Phase, to_complex, vabs
 
@@ -148,7 +148,7 @@ def _basis_labels(op: Operator, dim: int, eps_grid, N: int,
     for k in range(1, dim + 1):
         x = SparseVector.unit(op.space if isinstance(op, Matrix)
                               else SequenceLp(2), k)
-        recs = [return_set(op, x, e, seminorms, N) for e in eps_grid]
+        recs = return_sets(op, x, eps_grid, seminorms, N)
         labels.append(classify(recs, thresholds).label)
     return labels
 
@@ -203,7 +203,7 @@ def diagonal_criterion_check(diag: Diagonal, sample_size: int,
         space, [(k, Fraction(1)) for k in (1, 2, 3)]))
     labels = []
     for x in vectors:
-        recs = [return_set(diag, x, e, (0,), N) for e in eps_grid]
+        recs = return_sets(diag, x, eps_grid, (0,), N)
         labels.append(classify(recs, thresholds).label)
     simulated = all(lab >= Label.UNIFORMLY_RECURRENT for lab in labels)
     metrics = {"criterion": unimodular, "labels": [lab.name for lab in labels]}
@@ -241,7 +241,7 @@ def eigenvector_span_check(op: Operator, eigenpairs: Sequence, coefficients,
     budgetScale = sum(abs(to_complex(a)) * float(seminorm(space, 0, v))
                       for a, v in zip(coefficients, vecs))
     turns = [_turns_of(lam) for lam in lams]
-    records = [return_set(op, x, e, (0,), N) for e in eps_grid]
+    records = return_sets(op, x, eps_grid, (0,), N)
     verdict = classify(records, thresholds)
     contained = True
     contain_counts = []
@@ -285,19 +285,18 @@ def power_consistency_check(op: Operator, x: Vector, p: int,
     pop = Power(op, p)
     identity_ok = True
     mismatch = None
-    recs_t, recs_tp = [], []
-    for e in eps_grid:
-        rt = return_set(op, x, e, seminorms, N)
-        rtp = return_set(pop, x, e, seminorms, N // p)
-        recs_t.append(rt)
-        recs_tp.append(rtp)
+    recs_t = return_sets(op, x, eps_grid, seminorms, N)
+    recs_tp = return_sets(pop, x, eps_grid, seminorms, N // p)
+    for k, (rt, rtp) in enumerate(zip(recs_t, recs_tp)):
         expected = contract(rt.window, p)
         if rtp.window.elements != expected.elements:
             identity_ok = False
             got, want = set(rtp.window.elements), set(expected.elements)
-            mismatch = {"eps": str(e),
+            mismatch = {"eps": str(eps_grid[k]),
                         "extra": sorted(got - want)[:5],
                         "missing": sorted(want - got)[:5]}
+            # the verdicts compare only the radii up to the first mismatch
+            recs_t, recs_tp = recs_t[:k + 1], recs_tp[:k + 1]
             break
     label_t = classify(recs_t, thresholds).label
     label_tp = classify(recs_tp, thresholds).label
@@ -323,9 +322,8 @@ def scaling_consistency_check(op: Operator, x: Vector, factor,
     m = vabs(factor)
     if not (isinstance(m, Fraction) and m == 1) and abs(float(m) - 1.0) > 1e-12:
         return _skip("scaling-consistency", "factor is not unimodular", parts)
-    recs_t = [return_set(op, x, e, seminorms, N) for e in eps_grid]
-    recs_s = [return_set(Scaled(op, factor), x, e, seminorms, N)
-              for e in eps_grid]
+    recs_t = return_sets(op, x, eps_grid, seminorms, N)
+    recs_s = return_sets(Scaled(op, factor), x, eps_grid, seminorms, N)
     lab_t = classify(recs_t, thresholds).label
     lab_s = classify(recs_s, thresholds).label
     ok = (lab_t == lab_s) or (lab_t >= Label.UNIFORMLY_RECURRENT

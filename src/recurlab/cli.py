@@ -31,7 +31,7 @@ from .config import (ConfigError, ExperimentSpec, RunConfig, SuiteSpec,
                      describe_operator, parse_config, parse_operator,
                      parse_scalar, parse_set_expression, parse_vector)
 from .operators import Diagonal, PrecisionError, SparseVector
-from .orbits import return_set
+from .orbits import return_sets
 from .rules import Rule
 from .values import to_complex
 
@@ -57,8 +57,8 @@ def execute_experiment(spec: ExperimentSpec, precision: str = "exact") -> dict:
     if precision.startswith("float"):
         x = _degrade_vector(x)
         digits = int(precision.split(":", 1)[1]) if ":" in precision else 12
-    records = [return_set(op, x, eps, spec.seminorms, spec.horizon)
-               for eps in sorted(spec.epsilons, reverse=True)]
+    records = return_sets(op, x, sorted(spec.epsilons, reverse=True),
+                          spec.seminorms, spec.horizon)
     verdict = classify(records)
     files = {}
     verdict_lines = [

@@ -378,7 +378,7 @@ class WeightedBackwardShift(Operator):
 
     def apply(self, x):
         pairs = [(i - 1, vmul(v, self.weight(i)))
-                 for i, v in _sparse(self, x).entries if i != 1 or self.bilateral]
+                 for i, v in _sparse(self, x).entries if i - 1 >= 1 or self.bilateral]
         return SparseVector.from_pairs(x.space, pairs)
 
     def power(self, x, n):

@@ -13,7 +13,11 @@ the cheapest sound strategy:
 * the distinguished row-rotation orbit is evaluated blockwise in closed
   form (its profile values are dyadic rationals, exact in float64);
 * everything else falls back to stepwise application, which stays exact for
-  exact sparse data.
+  exact sparse data and stops once the orbit reaches the zero vector: every
+  operator is linear, so the remaining values all equal ``p_i(x)``.
+
+``return_sets`` cuts the windows of a whole epsilon grid from one profile, so
+they are nested in epsilon by construction.
 
 Membership in the epsilon ball is decided through exact comparisons whenever
 the profile is exact: a pessimistic certified tail is added where closed
@@ -38,7 +42,7 @@ from .values import ExactSqrt, Phase, norm_lt, to_complex, vabs
 
 __all__ = [
     "ReturnSetRecord", "GrowthCurve", "CoveringReport", "PowerBoundVerdict",
-    "return_set", "distance_profile", "orbit_growth", "orbit_norms",
+    "return_set", "return_sets", "distance_profile", "orbit_growth", "orbit_norms",
     "power_bounded_probe", "totally_bounded_probe",
 ]
 
@@ -107,19 +111,28 @@ class ReturnSetRecord:
         return "\n".join(head) + "\n" + self.window.to_text()
 
 
+def return_sets(op: Operator, x: Vector, eps_grid: Sequence,
+                seminorms: Sequence[int] = (0,),
+                N: int = 1000) -> list[ReturnSetRecord]:
+    """One window ``{n <= N : max_i p_i(T^n x - x) < eps}`` per radius, in
+    grid order, all cut from one distance profile; 0 always belongs."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    radii = [Fraction(eps) for eps in eps_grid]
+    if any(eps <= 0 for eps in radii):
+        raise ValueError("epsilon must be positive")
+    seminorms = tuple(seminorms)
+    prof = distance_profile(op, x, seminorms, N)
+    return [ReturnSetRecord(
+        operator=op, vector=x, epsilon=eps, seminorm_indices=seminorms,
+        horizon=N, window=prof.window(eps), exact=prof.exact,
+        exact_period=prof.period) for eps in radii]
+
+
 def return_set(op: Operator, x: Vector, eps, seminorms: Sequence[int] = (0,),
                N: int = 1000) -> ReturnSetRecord:
     """Window ``{n <= N : max_i p_i(T^n x - x) < eps}``; 0 always belongs."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    prof = distance_profile(op, x, tuple(seminorms), N)
-    return ReturnSetRecord(
-        operator=op, vector=x, epsilon=eps,
-        seminorm_indices=tuple(seminorms), horizon=N,
-        window=prof.window(eps), exact=prof.exact, exact_period=prof.period)
+    return return_sets(op, x, (eps,), seminorms, N)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +213,11 @@ def _max_norm(vals):
 
 def _stepwise_profile(op: Operator, x: Vector, seminorms: tuple[int, ...],
                       N: int) -> DistanceProfile:
+    """Distances by one application per step, until the state reaches 0.
+
+    Every operator is linear, so once ``T^n x = 0`` every later state is 0
+    too and the remaining values repeat ``p_i(x)``.
+    """
     space = x.space
     vals = []
     y = x
@@ -210,6 +228,9 @@ def _stepwise_profile(op: Operator, x: Vector, seminorms: tuple[int, ...],
         d = _max_norm([diff_seminorm(space, i, y, x) for i in seminorms])
         exact = exact and isinstance(d, (Fraction, ExactSqrt))
         vals.append(d)
+        if isinstance(y, SparseVector) and not y.entries:
+            vals.extend([d] * (N - n))
+            break
     return DistanceProfile(tuple(vals), N, exact=exact)
 
 

@@ -146,6 +146,30 @@ class TestPowerConsistency:
         assert out.metrics["label_T"] == out.metrics["label_Tp"] == "NONE"
 
 
+    def test_verdicts_stop_at_first_mismatch(self, monkeypatch):
+        import recurlab.checks as checks
+        sizes, contracted = [], []
+        real_classify, real_contract = checks.classify, checks.contract
+
+        def classify(recs, thresholds):
+            sizes.append(len(recs))
+            return real_classify(recs, thresholds)
+
+        def contract(window, p):            # wrong from the second radius on
+            contracted.append(window)
+            if len(contracted) == 1:
+                return real_contract(window, p)
+            return IndexWindow((0,), window.horizon // p)
+
+        monkeypatch.setattr(checks, "classify", classify)
+        monkeypatch.setattr(checks, "contract", contract)
+        out = power_consistency_check(BlockCycle(), SparseVector.unit(L2, 5), 2,
+                                      [Fraction(1, 2), Fraction(1, 5), Fraction(1, 10)],
+                                      400)
+        assert not out.passed and out.witness["eps"] == "1/5"
+        assert sizes == [2, 2]
+
+
 class TestScalingConsistency:
     def test_identity_factor(self):
         out = scaling_consistency_check(BlockCycle(), SparseVector.unit(L2, 5),

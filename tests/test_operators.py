@@ -99,6 +99,13 @@ class TestShift:
         y = apply(b, x)
         assert y.entries == ((2, Fraction(1, 2)),)   # index 1 falls off
 
+    def test_apply_is_first_power(self):
+        # the unilateral shift drops every coordinate landing below index 1
+        b = WeightedBackwardShift(Rule("2"))
+        x = SparseVector.from_pairs(L2, [(0, Fraction(1)), (3, Fraction(1))])
+        assert apply(b, x).entries == power_apply(b, x, 1).entries \
+            == ((2, Fraction(2)),)
+
     def test_bilateral_keeps_everything(self):
         b = WeightedBackwardShift(Rule("2"), bilateral=True)
         x = SparseVector.from_pairs(L2, [(1, Fraction(1))])

@@ -1,10 +1,17 @@
 import math
 from fractions import Fraction
+from unittest import mock
+
+import pytest
 
 from recurlab import (BlockCycle, Diagonal, FiniteDim, Matrix, Phase, Power,
                       RowRotation, RowState, Rule, Scaled, SequenceLp,
-                      SparseVector, contract, orbit_growth,
-                      power_bounded_probe, return_set, totally_bounded_probe)
+                      SparseVector, contract, orbit_growth, orbits,
+                      power_bounded_probe, power_consistency_check,
+                      return_set, return_sets, scaling_consistency_check,
+                      totally_bounded_probe)
+from recurlab.cli import execute_experiment
+from recurlab.config import parse_config
 from recurlab.orbits import _stepwise_profile, distance_profile
 
 from conftest import rotation_matrix
@@ -70,6 +77,54 @@ class TestReturnSet:
         assert "operator=blockcycle" in text
         assert "epsilon=1/10" in text
         assert "horizon=40" in text.splitlines()[5]
+
+
+class TestOneProfilePerGrid:
+    """A whole epsilon grid costs one distance profile per operator."""
+
+    @pytest.fixture
+    def profiles(self):
+        with mock.patch.object(orbits, "distance_profile",
+                               wraps=orbits.distance_profile) as spy:
+            yield spy
+
+    GRID = [Fraction(1, 2), Fraction(1, 5), Fraction(1, 10)]
+
+    def test_return_sets(self, profiles):
+        for op, x, sem in zoo_members():
+            profiles.reset_mock()
+            records = return_sets(op, x, self.GRID, sem, 200)
+            assert profiles.call_count == 1
+            assert [rec.epsilon for rec in records] == self.GRID
+
+    def test_bad_radius_rejected_before_any_profile(self, profiles):
+        with pytest.raises(ValueError):
+            return_sets(BlockCycle(), SparseVector.unit(L2, 5),
+                        [Fraction(1, 2), Fraction(0)], (0,), 100)
+        assert profiles.call_count == 0
+
+    def test_execute_experiment(self, profiles):
+        spec = parse_config("""
+[experiment jordan]
+operator = matrix([[1, 1], [0, 1]])
+vector = vec(sparse: 2:1)
+epsilons = 1/2, 1/5, 1/10
+horizon = 300
+""").experiments[0]
+        out = execute_experiment(spec)
+        assert profiles.call_count == 1
+        assert sorted(out["files"]) == sorted(
+            [f"{kind}_{i}.txt" for kind in ("window", "density") for i in range(3)]
+            + ["verdict.txt"])
+
+    def test_consistency_checks(self, profiles):
+        x = SparseVector.unit(L2, 5)
+        assert scaling_consistency_check(
+            BlockCycle(), x, Phase(Fraction(1), Fraction(1, 3)), self.GRID, 400).passed
+        assert profiles.call_count == 2
+        profiles.reset_mock()
+        assert power_consistency_check(BlockCycle(), x, 2, self.GRID, 400).passed
+        assert profiles.call_count == 2
 
 
 class TestPowerIdentity:

@@ -2,9 +2,12 @@
 
 Every strategy ``distance_profile`` can pick (periodic tiling, the
 row-pattern, diagonal and matrix closed forms, the scaled-periodic form)
-must agree value by value with plain stepwise iteration: exactly where both
-sides are exact, within a relative 1e-9 otherwise.  Windows cut from one
-profile must grow with epsilon.
+must agree value by value with stepwise iteration: exactly where both sides
+are exact, within a relative 1e-9 otherwise.  Stepwise iteration, which
+stops once an orbit reaches 0, must equal a plain loop of one
+``apply`` per step exactly.  Windows cut from one profile must grow with
+epsilon, and ``return_sets`` over a grid must equal one ``return_set`` per
+radius.
 """
 
 import cmath
@@ -17,7 +20,8 @@ from hypothesis import strategies as st
 
 from recurlab import (BlockCycle, Diagonal, ExactSqrt, FiniteDim, Matrix,
                       Phase, Power, RowRotation, RowState, Rule, Scaled,
-                      SequenceLp, SparseVector, orbits)
+                      SequenceLp, SparseVector, WeightedBackwardShift, apply,
+                      diff_seminorm, orbits, return_set, return_sets)
 from recurlab.orbits import _stepwise_profile, distance_profile
 
 from conftest import rotation_matrix
@@ -167,3 +171,99 @@ def test_matrix_closed_form_matches_stepwise(case):
 @given(scaled_periodic_cases())
 def test_scaled_periodic_matches_stepwise(case):
     check_against_stepwise(*case, (0,), "scaled_profile")
+
+
+@st.composite
+def shift_cases(draw):
+    """Unilateral weighted shifts: finitely supported orbits reach 0."""
+    weights = draw(st.sampled_from(["2", "(n+1)/n", "-1/2", "1+1/n^2"]))
+    return WeightedBackwardShift(Rule(weights)), draw(sparse(L2, 12))
+
+
+def float_jordan_case():
+    op = Matrix.from_array([[1, 1], [0, 1]])
+    return op, SparseVector.from_pairs(FiniteDim(2), [(2, Fraction(1))])
+
+
+def plain_profile(op, x, N):
+    """Reference: one apply and one diff_seminorm per step, no shortcut."""
+    vals, y = [], x
+    for n in range(N + 1):
+        if n:
+            y = apply(op, y)
+        vals.append(diff_seminorm(x.space, 0, y, x))
+    return tuple(vals)
+
+
+def check_stepwise_against_plain(op, x, N=N):
+    with mock.patch.object(orbits, "apply", wraps=orbits.apply) as steps:
+        prof = _stepwise_profile(op, x, (0,), N)
+    assert prof.values == plain_profile(op, x, N)
+    assert prof.period is None and len(prof.values) == N + 1
+    return steps.call_count
+
+
+@PROPERTY
+@given(shift_cases())
+def test_stepwise_nilpotent_shift_matches_plain_loop(case):
+    # a support below index 13 reaches 0 within 12 steps, where iteration stops
+    assert check_stepwise_against_plain(*case) <= 12
+
+
+@PROPERTY
+@given(periodic_cases())
+def test_stepwise_exact_periodic_orbit_matches_plain_loop(case):
+    op, x = case
+    assert check_stepwise_against_plain(op, x) == (N if x.entries else 0)
+
+
+def test_stepwise_nilpotent_zoo_vector_stops_early():
+    op = WeightedBackwardShift(Rule("2"))
+    x = SparseVector.from_pairs(L2, [(k, Fraction(1, 2 ** k)) for k in range(1, 9)])
+    assert check_stepwise_against_plain(op, x, 2000) == 8    # T^8 x = 0
+    rec = return_set(op, x, Fraction(1, 2), (0,), 2000)
+    assert rec.exact and rec.exact_period is None
+
+
+def test_stepwise_float_orbit_iterates_to_the_horizon():
+    op, x = float_jordan_case()
+    assert check_stepwise_against_plain(op, x, 300) == 300
+
+
+# every profile strategy, as (operator, vector, seminorms)
+any_strategy = st.one_of(
+    periodic_cases().map(lambda c: (*c, (0,))),
+    st.builds(lambda offset, p: (Power(RowRotation(), p), RowState(offset), (1, 2)),
+              st.integers(0, 200), st.integers(1, 3)),
+    diagonal_cases().map(lambda c: (*c, (0,))),
+    matrix_cases().map(lambda c: (*c, (0,))),
+    scaled_periodic_cases().map(lambda c: (*c, (0,))),
+    shift_cases().map(lambda c: (*c, (0,))),
+    st.just((*float_jordan_case(), (0,))),
+)
+radii = st.lists(st.fractions(Fraction(1, 100), 4, max_denominator=100),
+                 min_size=1, max_size=4)
+
+
+@PROPERTY
+@given(any_strategy, radii)
+def test_return_sets_equal_one_return_set_per_radius(case, grid):
+    op, x, seminorms = case
+    records = return_sets(op, x, grid, seminorms, N)
+    assert len(records) == len(grid)
+    for eps, rec in zip(grid, records):
+        one = return_set(op, x, eps, seminorms, N)
+        assert rec.epsilon == one.epsilon == eps
+        assert rec.window.elements == one.window.elements
+        assert (rec.seminorm_indices, rec.horizon, rec.exact, rec.exact_period) == \
+            (one.seminorm_indices, one.horizon, one.exact, one.exact_period)
+
+
+@PROPERTY
+@given(any_strategy, radii)
+def test_return_sets_windows_nested_in_epsilon(case, grid):
+    op, x, seminorms = case
+    records = sorted(return_sets(op, x, grid, seminorms, N),
+                     key=lambda rec: rec.epsilon)
+    windows = [rec.window.member_set for rec in records]
+    assert all(lo <= hi for lo, hi in zip(windows, windows[1:]))
