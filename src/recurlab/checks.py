@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -96,7 +98,7 @@ def kronecker_window(turns: Sequence, eps: float, N: int) -> IndexWindow:
             frac = np.mod(n * float(t), 1.0)
         dist = 2.0 * np.abs(np.sin(np.pi * frac))
         members &= dist < eps
-    return IndexWindow(tuple(int(i) for i in np.nonzero(members)[0]), N)
+    return IndexWindow.from_mask(members)
 
 
 def kronecker_return_check(turns: Sequence, eps: float, N: int,
@@ -129,8 +131,7 @@ def kronecker_return_check(turns: Sequence, eps: float, N: int,
                            for k in range(1, d)), default=2.0)
         if eps < min_nonzero:
             exact_d = d
-            expected = tuple(range(0, N + 1, d))
-            ok = ok and window.elements == expected
+            ok = ok and window == IndexWindow.residue(d, 0, N)
             metrics["exact_multiple"] = d
     witness = {"turns": [str(t) for t in turns], "eps": eps, "N": N,
                "window_head": window.elements[:8]}
@@ -243,15 +244,13 @@ def eigenvector_span_check(op: Operator, eigenpairs: Sequence, coefficients,
     turns = [_turns_of(lam) for lam in lams]
     records = return_sets(op, x, eps_grid, (0,), N)
     verdict = classify(records, thresholds)
-    contained = True
     contain_counts = []
     for rec in records:
         eps_prime = float(rec.epsilon) / budgetScale * (1 - 1e-9)
         kw = kronecker_window(turns, eps_prime, N)
-        missing = [n for n in kw.elements if n not in rec.window.member_set]
-        contain_counts.append((float(rec.epsilon), kw.count, len(missing)))
-        if missing:
-            contained = False
+        missing = int(np.count_nonzero(kw.mask & ~rec.window.mask))
+        contain_counts.append((float(rec.epsilon), kw.count, missing))
+    contained = all(lost == 0 for _, _, lost in contain_counts)
     ok = verdict.label >= Label.UNIFORMLY_RECURRENT and contained
     metrics = {"label": verdict.label.name, "containment": contain_counts,
                "budget_scale": budgetScale}
@@ -289,12 +288,12 @@ def power_consistency_check(op: Operator, x: Vector, p: int,
     recs_tp = return_sets(pop, x, eps_grid, seminorms, N // p)
     for k, (rt, rtp) in enumerate(zip(recs_t, recs_tp)):
         expected = contract(rt.window, p)
-        if rtp.window.elements != expected.elements:
+        if rtp.window != expected:
             identity_ok = False
-            got, want = set(rtp.window.elements), set(expected.elements)
+            got, want = rtp.window.array, expected.array
             mismatch = {"eps": str(eps_grid[k]),
-                        "extra": sorted(got - want)[:5],
-                        "missing": sorted(want - got)[:5]}
+                        "extra": np.setdiff1d(got, want)[:5].tolist(),
+                        "missing": np.setdiff1d(want, got)[:5].tolist()}
             # the verdicts compare only the radii up to the first mismatch
             recs_t, recs_tp = recs_t[:k + 1], recs_tp[:k + 1]
             break
@@ -350,9 +349,10 @@ def shift_series_check(weights: Rule, support: IndexWindow,
     """
     parts = (weights.source, support.horizon, support.count,
              divergence_threshold)
-    if not support.count or support.elements[0] < 1:
+    idx = support.array
+    if not idx.size or idx[0] < 1:
         return _skip("shift-series", "support must lie in [1, H]", parts)
-    top = support.elements[-1]
+    top = int(idx[-1])
     log2w = np.zeros(top + 1)
     for nu in range(1, top + 1):
         w = weights(nu)
@@ -360,7 +360,6 @@ def shift_series_check(weights: Rule, support: IndexWindow,
             return _skip("shift-series", f"weight w_{nu} vanishes", parts)
         log2w[nu] = math.log2(abs(float(w)))
     cumlog = np.cumsum(log2w)
-    idx = np.fromiter(support.elements, dtype=np.int64)
     terms = np.power(2.0, np.clip(-cumlog[idx], -1020, 1020))
     sums = np.cumsum(terms)
     crossing = None
@@ -392,25 +391,19 @@ def shift_series_check(weights: Rule, support: IndexWindow,
     certified_tail = max(certified_tail, float(terms[-1]))
     metrics["certified_tail"] = certified_tail
     # exact truncated vector and its fixed-point residual
-    exact_ok = weights.is_exact
+    if weights.is_exact:
+        members = support.mask
+        prods = accumulate((Fraction(weights(nu)) for nu in range(1, top + 1)),
+                           operator.mul)                # w_1 ... w_n
+        pairs = [(nu, 1 / p) for nu, p in enumerate(prods, 1) if members[nu]]
+    else:
+        pairs = [(nu, 2.0 ** float(-cumlog[nu])) for nu in idx.tolist()]
     space = SequenceLp(2)
-    pairs = []
-    prod = Fraction(1)
-    cursor = support.member_set
-    for nu in range(1, top + 1):
-        w = weights(nu)
-        if exact_ok:
-            prod *= Fraction(w)
-        if nu in cursor:
-            if exact_ok:
-                pairs.append((nu, 1 / prod))
-            else:
-                pairs.append((nu, 2.0 ** float(-cumlog[nu])))
     x = SparseVector.from_pairs(space, pairs)
     shift = WeightedBackwardShift(weights)
     residual = float(diff_seminorm(space, 0, apply(shift, x), x))
     metrics["fixed_point_residual"] = residual
-    full_range = support.elements == tuple(range(1, top + 1))
+    full_range = support.count == top      # every n in [1, top] belongs
     ok = True
     if full_range:
         ok = residual <= certified_tail * (1 + 1e-12)
@@ -438,7 +431,7 @@ def _sample_member(family: str, rng: np.random.Generator,
         delta = float(rng.uniform(0.3, 0.6))
         mask = rng.random(horizon + 1) < delta
         mask[0] = True
-        return IndexWindow.from_iterable(np.nonzero(mask)[0].tolist(), horizon)
+        return IndexWindow.from_mask(mask)
     if family == "upper-density":
         delta = float(rng.uniform(0.4, 0.7))
         mask = rng.random(horizon + 1) < delta / 8
@@ -446,7 +439,7 @@ def _sample_member(family: str, rng: np.random.Generator,
         mask[: horizon // 3 + 1] |= head
         mask[0] = True
         mask[-1] = True
-        return IndexWindow.from_iterable(np.nonzero(mask)[0].tolist(), horizon)
+        return IndexWindow.from_mask(mask)
     if family == "banach-density":
         delta = float(rng.uniform(0.3, 0.6))
         mask = np.zeros(horizon + 1, dtype=bool)
@@ -457,7 +450,7 @@ def _sample_member(family: str, rng: np.random.Generator,
             mask[s: s + block] |= seg
         mask[0] = True
         mask[-1] = True
-        return IndexWindow.from_iterable(np.nonzero(mask)[0].tolist(), horizon)
+        return IndexWindow.from_mask(mask)
     # infinite: sparse but horizon-spanning
     step = int(rng.integers(20, 120))
     jitter = rng.integers(0, step, size=horizon // step + 2)
@@ -503,7 +496,7 @@ def cut_shift_paste_check(family: str, trials: int, seed: int,
         inst = _sample_instance(rng, horizon)
         out = cut_shift_paste(a, inst)
         ident = cut_shift_paste(a, CutShiftPaste((SetPredicate.everything(),), (0,)))
-        if ident.elements != a.elements:
+        if ident != a:
             violations += 1
             witness = {"trial": trial, "kind": "identity"}
             continue
@@ -526,11 +519,9 @@ def _csp_violation(family: str, a: IndexWindow, out: IndexWindow,
     if family == "syndetic":
         pre = syndetic_certificate(a)
         g = pre.largest_interior_gap or 0
-        lo, hi = a.elements[0] + s, a.elements[-1]
-        interior = [e for e in out.elements if lo <= e <= hi]
-        worst = 0
-        for u, v in zip(interior, interior[1:]):
-            worst = max(worst, v - u)
+        b = out.array
+        interior = b[(b >= a.array[0] + s) & (b <= a.array[-1])]
+        worst = int(np.diff(interior).max()) if interior.size > 1 else 0
         margin = (g + s) - worst
         return worst > g + s, margin
     if family == "infinite":

@@ -21,11 +21,12 @@ enlarging a window can never destroy evidence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .families import (DensityReport, IndexWindow, SyndeticCertificate,
                        arithmetic_certificate, density_report,
@@ -118,23 +119,17 @@ def _recency_ok(window: IndexWindow, horizon: int, th: Thresholds) -> bool:
     at least tail/censor_factor.  Monotone under supersets."""
     if window.count <= th.m_min:
         return False
-    last = window.elements[-1]
-    anchor = window.elements[th.m_min - 1]
+    last, anchor = int(window.array[-1]), int(window.array[th.m_min - 1])
     return (horizon - last) <= th.censor_factor * (last - anchor)
 
 
 def _full_ap_difference(window: IndexWindow) -> Optional[int]:
     """d when the window is exactly d*N0 on [0, horizon], else None."""
-    if window.count == 0 or window.elements[0] != 0:
+    a = window.array
+    if a.size < 2 or a[0] != 0:
         return None
-    if window.count == 1:
-        return None
-    d = 0
-    for e in window.elements:
-        d = math.gcd(d, e)
-    if d == 0:
-        return None
-    return d if window.count == window.horizon // d + 1 else None
+    d = int(np.gcd.reduce(a))
+    return d if a.size == window.horizon // d + 1 else None
 
 
 def window_evidence(window: IndexWindow, epsilon: Fraction,

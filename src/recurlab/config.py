@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .families import IndexWindow, ip_generate
+from .families import IndexWindow, SetPredicate, ip_generate
 from .operators import (AffineComposition, BlockCycle, Diagonal,
                         EntireCoefficients, FiniteRowVector, Matrix, Operator,
                         RowRotation, RowState, SparseVector, Vector,
@@ -238,7 +238,15 @@ def parse_vector(text: str, op: Operator) -> Vector:
 # ---------------------------------------------------------------------------
 
 def parse_set_expression(text: str, horizon: int) -> IndexWindow:
-    t = text.strip()
+    try:
+        return _set_expression(text.strip(), horizon)
+    except ConfigError:
+        raise
+    except ValueError as err:           # families rejects bad arguments
+        raise ConfigError(f"set expression {text.strip()!r}: {err}") from err
+
+
+def _set_expression(t: str, horizon: int) -> IndexWindow:
     if t.startswith("residue(") and t.endswith(")"):
         parts = _split_top(t[8:-1])
         if len(parts) != 2:
@@ -252,17 +260,17 @@ def parse_set_expression(text: str, horizon: int) -> IndexWindow:
         gens = tuple(int(g) for g in _split_top(gens_text))
         return ip_generate(gens, int(depth_text), horizon)
     if t.startswith("intervals(") and t.endswith(")"):
-        elems = []
+        spans = []
         for span in _split_top(t[10:-1]):
             if "-" not in span:
                 raise ConfigError(f"malformed interval {span!r}")
             lo, hi = span.split("-", 1)
-            elems.extend(range(int(lo), min(int(hi), horizon) + 1))
-        return IndexWindow.from_iterable(elems, horizon)
+            spans.append((int(lo), int(hi)))
+        return IndexWindow.from_mask(SetPredicate.intervals(*spans).mask(horizon))
     if t.startswith("explicit(") and t.endswith(")"):
         return IndexWindow.from_iterable(
             (int(x) for x in _split_top(t[9:-1])), horizon)
-    raise ConfigError(f"unknown set expression {text!r}")
+    raise ConfigError(f"unknown set expression {t!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ Implemented calculus:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -52,61 +53,92 @@ class ConfigurationError(ValueError):
     """Raised when an operation is invoked with inconsistent parameters."""
 
 
-@dataclass(frozen=True)
 class IndexWindow:
     """A finite observed subset of N0 together with its observation horizon.
 
-    ``elements`` is strictly increasing and contained in ``[0, horizon]``.
-    Membership of any ``n <= horizon`` is decided; nothing is known beyond.
+    The members are stored once, as the sorted read-only int64 ``array``;
+    they are strictly increasing integers in ``[0, horizon]``.  Membership of
+    any ``n <= horizon`` is decided; nothing is known beyond.  The views
+    ``mask``, ``elements`` and ``member_set`` are built on first use.
     """
 
-    elements: tuple[int, ...]
-    horizon: int
-
-    def __post_init__(self):
-        if self.horizon < 0:
+    def __init__(self, elements, horizon: int):
+        horizon = operator.index(horizon)
+        if horizon < 0:
             raise ValueError("horizon must be >= 0")
-        prev = -1
-        for e in self.elements:
-            if e <= prev:
-                raise ValueError("elements must be strictly increasing")
-            prev = e
-        if self.elements and (self.elements[0] < 0 or self.elements[-1] > self.horizon):
+        arr = np.asarray(elements)
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise ValueError("elements must be a flat sequence of integers")
+        arr = np.array(arr, dtype=np.int64)
+        if np.any(arr[1:] <= arr[:-1]):
+            raise ValueError("elements must be strictly increasing")
+        if arr.size and (arr[0] < 0 or arr[-1] > horizon):
             raise ValueError("elements must lie in [0, horizon]")
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "horizon", horizon)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IndexWindow is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, IndexWindow):
+            return NotImplemented
+        return self.horizon == other.horizon and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.horizon, self.array.tobytes()))
+
+    def __repr__(self):
+        return f"IndexWindow(elements={self.elements!r}, horizon={self.horizon})"
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def from_mask(mask) -> "IndexWindow":
+        """The window ``{n : mask[n]}`` with horizon ``len(mask) - 1``."""
+        mask = np.array(mask, dtype=bool)
+        window = IndexWindow(np.flatnonzero(mask), mask.size - 1)
+        mask.flags.writeable = False
+        window.__dict__["mask"] = mask      # the cached ``mask`` view
+        return window
+
+    @staticmethod
     def from_iterable(it: Iterable[int], horizon: int) -> "IndexWindow":
-        elems = sorted({int(n) for n in it if 0 <= int(n) <= horizon})
-        return IndexWindow(tuple(elems), horizon)
+        arr = np.unique(np.asarray(list(it)))
+        return IndexWindow(arr[(arr >= 0) & (arr <= horizon)], horizon)
 
     @staticmethod
     def residue(modulus: int, residue: int, horizon: int) -> "IndexWindow":
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        r = residue % modulus
-        return IndexWindow(tuple(range(r, horizon + 1, modulus)), horizon)
+        return IndexWindow(np.arange(residue % modulus, horizon + 1, modulus), horizon)
 
     @staticmethod
     def full(horizon: int) -> "IndexWindow":
-        return IndexWindow(tuple(range(horizon + 1)), horizon)
+        return IndexWindow(np.arange(horizon + 1), horizon)
 
     # -- views -------------------------------------------------------------
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Read-only bool array of length horizon+1, True on the members."""
+        m = np.zeros(self.horizon + 1, dtype=bool)
+        m[self.array] = True
+        m.flags.writeable = False
+        return m
+
+    @cached_property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     @cached_property
     def member_set(self) -> frozenset:
         return frozenset(self.elements)
 
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.horizon + 1, dtype=bool)
-        if self.elements:
-            m[np.fromiter(self.elements, dtype=np.int64)] = True
-        return m
-
     @property
     def count(self) -> int:
-        return len(self.elements)
+        return self.array.size
 
     def __contains__(self, n: int) -> bool:
         return n in self.member_set
@@ -115,7 +147,7 @@ class IndexWindow:
         """Shift every element by ``m >= 0``; horizon grows with it."""
         if m < 0:
             raise ValueError("translation must be >= 0")
-        return IndexWindow(tuple(e + m for e in self.elements), self.horizon + m)
+        return IndexWindow(self.array + m, self.horizon + m)
 
     # -- serialization (header line then one decimal per line) -------------
 
@@ -130,7 +162,7 @@ class IndexWindow:
         if not lines or not lines[0].startswith("horizon="):
             raise ValueError("missing horizon= header")
         horizon = int(lines[0].split("=", 1)[1])
-        return IndexWindow(tuple(int(ln) for ln in lines[1:]), horizon)
+        return IndexWindow([int(ln) for ln in lines[1:]], horizon)
 
 
 @dataclass(frozen=True)
@@ -165,13 +197,12 @@ def syndetic_certificate(window: IndexWindow,
         raise ConfigurationError("no certificate for an empty window")
     h = window.horizon
     cap = gap_cap if gap_cap is not None else max(1, h // 10)
-    elems = window.elements
-    gaps = [elems[0] - 0] if elems[0] > 0 else []
-    gaps.extend(elems[i + 1] - elems[i] for i in range(len(elems) - 1))
-    tail = h - elems[-1]
-    if not gaps:
+    a = window.array
+    gaps = np.diff(a, prepend=0) if a[0] > 0 else np.diff(a)
+    tail = h - int(a[-1])
+    if not gaps.size:
         return SyndeticCertificate(False, None, None, tail, cap)
-    interior = max(gaps)
+    interior = int(gaps.max())
     ok = interior <= cap
     return SyndeticCertificate(ok, interior if ok else None, interior, tail, cap)
 
@@ -247,8 +278,7 @@ def density_report(window: IndexWindow, burn_in: Optional[int] = None,
     if not 0 <= burn_in < h:
         raise ConfigurationError("burn_in must satisfy 0 <= burn_in < horizon")
 
-    mask = window.mask()
-    csum = np.cumsum(mask, dtype=np.int64)          # csum[N] = card(A & [0, N])
+    csum = np.cumsum(window.mask, dtype=np.int64)          # csum[N] = card(A & [0, N])
     running = csum / np.arange(1, h + 2, dtype=np.float64)
     lower = float(running[burn_in:].min())
     upper = float(running[burn_in:].max())
@@ -310,7 +340,7 @@ def ip_generate(generators: Sequence[int], depth: int, horizon: int) -> IndexWin
             if terms.get(t, depth + 1) > c:
                 terms[t] = c
     sums = sorted(s for s in terms if s > 0)
-    return IndexWindow(tuple(sums), horizon)
+    return IndexWindow(sums, horizon)
 
 
 @dataclass(frozen=True)
@@ -341,22 +371,13 @@ class IpProbeResult:
 def arithmetic_certificate(window: IndexWindow) -> Optional[int]:
     """Smallest k found with ``k*N0 & [0,H] <= A`` (k up to sqrt(H) plus the
     gcd of the elements), or None."""
-    return _arithmetic_certificate(window)
-
-
-def _arithmetic_certificate(window: IndexWindow) -> Optional[int]:
-    mask = window.mask()
-    h = window.horizon
+    mask = window.mask
     if not mask[0]:
         return None
-    candidates = list(range(1, math.isqrt(h) + 1))
-    nz = [e for e in window.elements if e > 0]
-    if nz:
-        g = 0
-        for e in nz:
-            g = math.gcd(g, e)
-        if g > (candidates[-1] if candidates else 0):
-            candidates.append(g)
+    candidates = list(range(1, math.isqrt(window.horizon) + 1))
+    g = int(np.gcd.reduce(window.array))
+    if g > (candidates[-1] if candidates else 0):
+        candidates.append(g)
     for k in candidates:
         if mask[::k].all():
             return k
@@ -388,12 +409,12 @@ def ip_star_probe(window: IndexWindow, budget: int = 4) -> IpProbeResult:
     """
     if budget < 1:
         raise ConfigurationError("budget must be >= 1")
-    k = _arithmetic_certificate(window)
+    k = arithmetic_certificate(window)
     if k is not None:
         return IpProbeResult("arithmetic", certificate_k=k)
 
     h = window.horizon
-    mask = window.mask()
+    mask = window.mask
     floor = witness_floor(h)
     non_members = np.nonzero(~mask[1:])[0] + 1      # candidates start at 1
     used = 0
@@ -480,10 +501,8 @@ class SetPredicate:
 
     def mask(self, horizon: int) -> np.ndarray:
         m = np.zeros(horizon + 1, dtype=bool)
-        if self.residues:
-            idx = np.arange(horizon + 1)
-            res = np.fromiter(self.residues, dtype=np.int64)
-            m |= np.isin(idx % self.modulus, res)
+        for r in self.residues:
+            m[r::self.modulus] = True
         for lo, hi in self.spans:
             if lo <= horizon:
                 m[lo:min(hi, horizon) + 1] = True
@@ -514,12 +533,6 @@ class CutShiftPaste:
     def max_shift(self) -> int:
         return max(self.shifts)
 
-    def covers(self, horizon: int) -> bool:
-        covered = np.zeros(horizon + 1, dtype=bool)
-        for p in self.pieces:
-            covered |= p.mask(horizon)
-        return bool(covered.all())
-
 
 def cut_shift_paste(window: IndexWindow, inst: CutShiftPaste) -> IndexWindow:
     """``A -> union_j (n_j + A & I_j)`` on the extended window ``[0, H + max shift]``.
@@ -528,29 +541,25 @@ def cut_shift_paste(window: IndexWindow, inst: CutShiftPaste) -> IndexWindow:
     on the extended horizon.
     """
     h = window.horizon
-    if not inst.covers(h):
+    pieces = [pred.mask(h) for pred in inst.pieces]
+    if not np.logical_or.reduce(pieces).all():
         raise ConfigurationError("pieces do not cover [0, horizon]")
-    elems = np.fromiter(window.elements, dtype=np.int64) if window.count \
-        else np.zeros(0, dtype=np.int64)
-    out = []
-    for pred, shift in zip(inst.pieces, inst.shifts):
-        if elems.size:
-            sel = pred.mask(h)[elems]
-            out.append(elems[sel] + shift)
-    merged = np.unique(np.concatenate(out)) if out else np.zeros(0, dtype=np.int64)
-    return IndexWindow(tuple(int(x) for x in merged), h + inst.max_shift)
+    out = np.zeros(h + inst.max_shift + 1, dtype=bool)
+    for piece, shift in zip(pieces, inst.shifts):
+        out[shift:shift + h + 1] |= window.mask & piece
+    return IndexWindow.from_mask(out)
 
 
 def dilate(window: IndexWindow, p: int) -> IndexWindow:
     """``A -> {p*n : n in A}`` with horizon ``p*H``."""
     if p < 1:
         raise ConfigurationError("dilation factor must be >= 1")
-    return IndexWindow(tuple(p * e for e in window.elements), p * window.horizon)
+    return IndexWindow(window.array * p, p * window.horizon)
 
 
 def contract(window: IndexWindow, p: int) -> IndexWindow:
     """``A -> {n : p*n in A}`` with horizon ``H // p``."""
     if p < 1:
         raise ConfigurationError("contraction factor must be >= 1")
-    return IndexWindow(tuple(e // p for e in window.elements if e % p == 0),
-                       window.horizon // p)
+    a = window.array
+    return IndexWindow(a[a % p == 0] // p, window.horizon // p)

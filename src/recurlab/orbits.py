@@ -70,17 +70,12 @@ class DistanceProfile:
 
     def window(self, eps) -> IndexWindow:
         bound = Fraction(eps) if not isinstance(eps, Fraction) else eps
-        if self.period is not None:
-            hits = [r for r in range(self.period) if norm_lt(self.values[r], bound)]
-            elems = []
-            for r in hits:
-                elems.extend(range(r, self.horizon + 1, self.period))
-            return IndexWindow(tuple(sorted(elems)), self.horizon)
         if isinstance(self.values, np.ndarray):
-            idx = np.nonzero(self.values < float(bound))[0]
-            return IndexWindow(tuple(int(i) for i in idx), self.horizon)
-        elems = [n for n, v in enumerate(self.values) if norm_lt(v, bound)]
-        return IndexWindow(tuple(elems), self.horizon)
+            hits = self.values < float(bound)
+        else:
+            hits = np.array([norm_lt(v, bound) for v in self.values], dtype=bool)
+        # a periodic profile holds one period: tile it out to the horizon
+        return IndexWindow.from_mask(np.resize(hits, self.horizon + 1))
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,7 @@ class ReturnSetRecord:
     exact_period: Optional[int]
 
     def __post_init__(self):
-        if 0 not in self.window.member_set:
+        if not self.window.count or self.window.array[0] != 0:
             raise AssertionError("0 must belong to every return window")
 
     def to_text(self, operator_literal: str = "", vector_literal: str = "") -> str:

@@ -105,6 +105,13 @@ class TestSetExpressions:
             == (2, 3, 4, 8, 9)
         assert parse_set_expression("explicit(5, 1, 9)", 20).elements == (1, 5, 9)
 
+    @pytest.mark.parametrize("text", ["residue(0,1)", "explicit(1, x)",
+                                      "intervals(3-x)", "intervals(5-2)",
+                                      "fs(3, 2; 2)", "fs(1, 2; x)"])
+    def test_malformed_raise_config_error(self, text):
+        with pytest.raises(ConfigError):
+            parse_set_expression(text, 20)
+
 
 class TestConfigParsing:
     def test_round_trip(self):
@@ -182,6 +189,14 @@ class TestRunner:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "needs turns=" in capsys.readouterr().err
         assert calls == []
+
+    def test_malformed_set_expression_exit_two(self, tmp_path, capsys):
+        text = SMALL_CONFIG + ("\n[suite bad-window]\ncheck = translation-invariance\n"
+                               "window = residue(0,1)\nhorizon = 100\n")
+        cfg = self.write(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "residue(0,1)" in capsys.readouterr().err
+        assert not (tmp_path / "out/experiments").exists()
 
     def test_failure_isolation(self, tmp_path, capsys):
         # float precision cannot carry the deep block weights; that one

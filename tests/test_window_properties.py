@@ -1,0 +1,134 @@
+"""Property tests of the window representation.
+
+Every constructor of :class:`IndexWindow` gives the same window for the same
+subset of [0, H], including the empty set, {0} and the full range.  The
+views (``elements``, ``array``, ``mask``, ``member_set``, ``count``, ``in``)
+agree with that subset, and translation, dilation, contraction and
+cut-shift-paste equal their set definitions written in plain Python.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from recurlab import (CutShiftPaste, IndexWindow, SetPredicate, contract,
+                      cut_shift_paste, dilate)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=60)
+
+
+@st.composite
+def subsets(draw):
+    """A subset of [0, h] and its horizon h."""
+    h = draw(st.integers(0, 120))
+    kind = draw(st.sampled_from(("random", "empty", "zero", "full")))
+    if kind == "random":
+        return frozenset(draw(st.sets(st.integers(0, h)))), h
+    return {"empty": frozenset(), "zero": frozenset({0}),
+            "full": frozenset(range(h + 1))}[kind], h
+
+
+def constructions(members, h):
+    elems = tuple(sorted(members))
+    return [
+        IndexWindow(elems, h),
+        IndexWindow.from_iterable([*members, *members, -1, h + 1], h),
+        IndexWindow.from_mask([n in members for n in range(h + 1)]),
+        IndexWindow.from_text(IndexWindow(elems, h).to_text()),
+    ]
+
+
+@PROPERTY
+@given(subsets())
+def test_constructors_give_one_window(sub):
+    members, h = sub
+    first, *rest = constructions(members, h)
+    for w in rest:
+        assert w == first and hash(w) == hash(first)
+        assert w.horizon == h
+
+
+@PROPERTY
+@given(subsets())
+def test_views_agree(sub):
+    members, h = sub
+    elems = tuple(sorted(members))
+    for w in constructions(members, h):
+        assert w.elements == elems
+        assert all(type(e) is int for e in w.elements)
+        assert w.array.dtype == np.int64 and not w.array.flags.writeable
+        assert w.array.tolist() == list(elems)
+        assert w.mask.dtype == bool and not w.mask.flags.writeable
+        assert w.mask.tolist() == [n in members for n in range(h + 1)]
+        assert w.member_set == members
+        assert w.count == len(members)
+        assert all((n in w) == (n in members) for n in range(-2, h + 3))
+
+
+@PROPERTY
+@given(subsets(), st.integers(0, 30), st.integers(1, 7))
+def test_translate_dilate_contract_match_set_definitions(sub, m, p):
+    members, h = sub
+    w = IndexWindow(tuple(sorted(members)), h)
+    assert w.translate(m) == IndexWindow(tuple(sorted(e + m for e in members)), h + m)
+    assert dilate(w, p) == IndexWindow(tuple(sorted(p * e for e in members)), p * h)
+    assert contract(w, p) == IndexWindow(
+        tuple(sorted(e // p for e in members if e % p == 0)), h // p)
+
+
+@st.composite
+def covers(draw, h):
+    """Pieces covering [0, h] as (residue (q, r) or span (lo, hi)) specs,
+    with one shift per piece."""
+    style = draw(st.sampled_from(("residues", "intervals", "overlapping")))
+    q = draw(st.integers(1, 4))
+    if style == "intervals":
+        cuts = sorted(draw(st.lists(st.integers(0, h), min_size=q - 1,
+                                    max_size=q - 1)))
+        bounds = [0, *cuts, h]
+        specs = [("span", (bounds[i], bounds[i + 1])) for i in range(q)]
+    else:
+        specs = [("residue", (q, r)) for r in range(q)]
+        if style == "overlapping":
+            lo = draw(st.integers(0, h))
+            specs.append(("span", (lo, draw(st.integers(lo, h + 10)))))
+    shifts = draw(st.lists(st.integers(0, 20), min_size=len(specs),
+                           max_size=len(specs)))
+    return specs, shifts
+
+
+def in_piece(n, spec):
+    kind, (a, b) = spec
+    return n % a == b if kind == "residue" else a <= n <= b
+
+
+@PROPERTY
+@given(st.data(), subsets())
+def test_cut_shift_paste_matches_set_definition(data, sub):
+    members, h = sub
+    specs, shifts = data.draw(covers(h))
+    pieces = tuple(SetPredicate.residue_class(*args) if kind == "residue"
+                   else SetPredicate.intervals(args) for kind, args in specs)
+    out = cut_shift_paste(IndexWindow(tuple(sorted(members)), h),
+                          CutShiftPaste(pieces, tuple(shifts)))
+    want = {e + s for spec, s in zip(specs, shifts) for e in members
+            if in_piece(e, spec)}
+    assert out == IndexWindow(tuple(sorted(want)), h + max(shifts))
+
+
+@pytest.mark.parametrize("elements", [
+    (0.5, 2), (0.0, 2.0), np.array([1.0, 3.0]), (Fraction(1, 2),),
+    ((1, 2), (3, 4)),
+])
+def test_rejects_non_integral_elements(elements):
+    with pytest.raises(ValueError):
+        IndexWindow(elements, 10)
+
+
+def test_from_iterable_rejects_non_integral_elements():
+    with pytest.raises(ValueError):
+        IndexWindow.from_iterable([0, 2.5], 10)
