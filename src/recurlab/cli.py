@@ -11,7 +11,9 @@ theorem checks), writing diff-able text artifacts into the output directory:
 * ``summary.txt``                         one line per item
 
 Outputs are byte-identical across runs with the same config, seed and
-precision.  Exit status: 0 all pass, 1 any failure, 2 configuration error.
+precision.  Exit status: 0 all pass, 1 any failure, 2 configuration error;
+``config.parse_config`` raises every configuration error before anything
+runs, so this module only runs checks and writes artifacts.
 
 ``recurlab describe '<operator literal>'`` prints what the literal builds.
 """
@@ -22,17 +24,14 @@ import argparse
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 from . import checks as checks_mod
 from .classify import classify
 from .config import (ConfigError, ExperimentSpec, RunConfig, SuiteSpec,
-                     describe_operator, parse_config, parse_operator,
-                     parse_scalar, parse_set_expression, parse_vector)
-from .operators import Diagonal, PrecisionError, SparseVector
+                     describe_operator, parse_config)
+from .operators import PrecisionError, SparseVector
 from .orbits import return_sets
-from .rules import Rule
 from .values import to_complex
 
 __all__ = ["main", "run_config", "execute_experiment", "execute_suite"]
@@ -41,8 +40,6 @@ __all__ = ["main", "run_config", "execute_experiment", "execute_suite"]
 def _fmt(value, digits=None) -> str:
     if isinstance(value, float):
         return repr(value) if digits is None else f"{value:.{digits}g}"
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -131,91 +128,14 @@ def _experiment_task(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def execute_suite(spec: SuiteSpec) -> checks_mod.CheckOutcome:
-    kind = spec.check
-    if kind == "kronecker":
-        turns = [_parse_turn(t) for t in spec.get("turns", "").split(",") if t.strip()]
-        if not turns:
-            raise ConfigError(f"suite {spec.name!r} needs turns=")
-        return checks_mod.kronecker_return_check(
-            turns, float(Fraction(spec.get("epsilon", "1/2"))),
-            int(spec.get("horizon", "10000")))
-    if kind == "cut-shift-paste":
-        return checks_mod.cut_shift_paste_check(
-            spec.get("family", "syndetic"), int(spec.get("trials", "100")),
-            int(spec.get("seed", "0")), int(spec.get("horizon", "20000")))
-    if kind == "matrix-criterion":
-        mat = parse_operator(spec.get("operator", ""))
-        eps = [Fraction(e) for e in spec.get("epsilons", "1/2,1/5").split(",")]
-        return checks_mod.matrix_criterion_check(
-            mat, eps, int(spec.get("horizon", "10000")))
-    if kind == "diagonal-criterion":
-        diag = parse_operator(spec.get("operator", ""))
-        eps = [Fraction(e) for e in spec.get("epsilons", "1/2,1/5").split(",")]
-        return checks_mod.diagonal_criterion_check(
-            diag, int(spec.get("sample", "4")), eps,
-            int(spec.get("horizon", "10000")))
-    if kind == "power-consistency":
-        op = parse_operator(spec.get("operator", ""))
-        x = parse_vector(spec.get("vector", ""), op)
-        eps = [Fraction(e) for e in spec.get("epsilons", "1/2,1/5").split(",")]
-        sem = tuple(int(s) for s in spec.get("seminorms", "0").split(","))
-        return checks_mod.power_consistency_check(
-            op, x, int(spec.get("p", "2")), eps,
-            int(spec.get("horizon", "10000")), seminorms=sem)
-    if kind == "scaling-consistency":
-        op = parse_operator(spec.get("operator", ""))
-        x = parse_vector(spec.get("vector", ""), op)
-        eps = [Fraction(e) for e in spec.get("epsilons", "1/2,1/5").split(",")]
-        sem = tuple(int(s) for s in spec.get("seminorms", "0").split(","))
-        return checks_mod.scaling_consistency_check(
-            op, x, parse_scalar(spec.get("factor", "rot(1/3)")), eps,
-            int(spec.get("horizon", "10000")), seminorms=sem)
-    if kind == "shift-series":
-        horizon = int(spec.get("horizon", "10000"))
-        support = parse_set_expression(
-            spec.get("support", f"intervals(1-{horizon})"), horizon)
-        return checks_mod.shift_series_check(
-            Rule(spec.get("weights", "2")), support,
-            float(spec.get("threshold", "10")))
-    if kind == "translation-invariance":
-        horizon = int(spec.get("horizon", "10000"))
-        window = parse_set_expression(spec.get("window", "residue(3,0)"), horizon)
-        return checks_mod.translation_invariance_check(
-            window, int(spec.get("m", "7")))
-    if kind == "minimality-separation":
-        op = parse_operator(spec.get("operator", ""))
-        x = parse_vector(spec.get("vector", ""), op)
-        y = parse_vector(spec.get("reference", ""), op)
-        sem = int(spec.get("seminorm", "0"))
-        return checks_mod.minimality_separation_check(
-            op, x, y, int(spec.get("horizon", "10000")), seminorm_index=sem)
-    if kind == "eigenvector-span":
-        # diagonal operators carry their eigenvectors: unit coordinates
-        op = parse_operator(spec.get("operator", ""))
-        if not isinstance(op, Diagonal):
-            raise ConfigError("eigenvector-span suites take a diag(...) operator")
-        coeffs = [parse_scalar(c) for c in spec.get("coefficients", "1").split(",")]
-        pairs = [(op.entry(k), SparseVector.unit(op.space, k))
-                 for k in range(1, len(coeffs) + 1)]
-        eps = [Fraction(e) for e in spec.get("epsilons", "1/2,1/5").split(",")]
-        return checks_mod.eigenvector_span_check(
-            op, pairs, coeffs, eps, int(spec.get("horizon", "10000")))
-    raise ConfigError(f"unknown check kind {kind!r} in suite {spec.name!r}")
-
-
-def _parse_turn(text: str):
-    t = text.strip()
-    if t.startswith("sqrt"):
-        return float(Rule(t)(0)) % 1.0
-    return Fraction(t) % 1
+    """Run one suite's check; ``parse_config`` already parsed its arguments."""
+    return spec.run()
 
 
 def _suite_task(spec: SuiteSpec):
     try:
         return execute_suite(spec)
-    except ConfigError:
-        raise
-    except Exception as err:
+    except Exception as err:           # isolate: one failure must not abort the run
         return checks_mod.CheckOutcome(
             name=spec.name, status="fail",
             metrics={}, witness={"error": f"{type(err).__name__}: {err}"})
@@ -243,7 +163,6 @@ def _outcome_text(name: str, out: checks_mod.CheckOutcome) -> str:
 def run_config(config: RunConfig, out_dir: Path, workers: int = 1,
                precision: str = "exact", seed: int = 0) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    # suites first: a suite's ConfigError then aborts before any experiment runs
     suite_results = [(spec.name, _suite_task(spec)) for spec in config.suites]
 
     exp_args = [(spec, precision) for spec in config.experiments]
@@ -312,22 +231,13 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        text = args.config.read_text()
-    except OSError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 2
-    try:
-        config = parse_config(text)
-    except ConfigError as err:
+        config = parse_config(args.config.read_text(), seed=args.seed)
+    except (OSError, ConfigError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     out_dir = Path(args.out) if args.out else Path(config.output_dir)
-    try:
-        return run_config(config, out_dir, workers=args.workers,
-                          precision=args.precision, seed=args.seed)
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 2
+    return run_config(config, out_dir, workers=args.workers,
+                      precision=args.precision, seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,9 @@
-"""Run-config parsing: operator, vector, scalar and set literals.
+"""Run-config parsing: the one module that reads config text.
 
-One human-editable text format drives the experiment runner.  A config is a
+``parse_config`` reads every field of every section through one reader, so
+an unknown field or a malformed value raises ``ConfigError`` with its line
+before anything runs, and it turns each ``[suite]`` into a ``SuiteSpec`` whose
+``run`` is a ``checks`` function with its arguments parsed.  A config is a
 sequence of sections::
 
     [experiment NAME]
@@ -31,8 +34,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
+from . import checks
 from .families import IndexWindow, SetPredicate, ip_generate
 from .operators import (AffineComposition, BlockCycle, Diagonal,
                         EntireCoefficients, FiniteRowVector, Matrix, Operator,
@@ -238,11 +243,10 @@ def parse_vector(text: str, op: Operator) -> Vector:
 # ---------------------------------------------------------------------------
 
 def parse_set_expression(text: str, horizon: int) -> IndexWindow:
+    """The window of a set expression; only ``fs`` truncates at ``horizon``."""
     try:
         return _set_expression(text.strip(), horizon)
-    except ConfigError:
-        raise
-    except ValueError as err:           # families rejects bad arguments
+    except ValueError as err:           # ours, or families rejecting arguments
         raise ConfigError(f"set expression {text.strip()!r}: {err}") from err
 
 
@@ -266,11 +270,12 @@ def _set_expression(t: str, horizon: int) -> IndexWindow:
                 raise ConfigError(f"malformed interval {span!r}")
             lo, hi = span.split("-", 1)
             spans.append((int(lo), int(hi)))
+        if any(hi > horizon for _, hi in spans):
+            raise ConfigError(f"interval past the horizon {horizon}")
         return IndexWindow.from_mask(SetPredicate.intervals(*spans).mask(horizon))
     if t.startswith("explicit(") and t.endswith(")"):
-        return IndexWindow.from_iterable(
-            (int(x) for x in _split_top(t[9:-1])), horizon)
-    raise ConfigError(f"unknown set expression {t!r}")
+        return IndexWindow(sorted({int(x) for x in _split_top(t[9:-1])}), horizon)
+    raise ConfigError("unknown set expression")
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +299,10 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class SuiteSpec:
+    """One ``[suite]``: its check kind and that check with parsed arguments."""
     name: str
     check: str
-    params: tuple[tuple[str, str], ...]
-
-    def get(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+    run: Callable[[], checks.CheckOutcome]
 
 
 @dataclass(frozen=True)
@@ -312,93 +312,183 @@ class RunConfig:
     output_dir: str = "results"
 
 
-def parse_config(text: str) -> RunConfig:
-    experiments: list[ExperimentSpec] = []
-    suites: list[SuiteSpec] = []
+def parse_config(text: str, seed: int = 0) -> RunConfig:
+    """Parse and check a whole config; ``seed`` is the suites' default seed."""
+    experiments, suites = [], []
     output_dir = "results"
-    section: Optional[tuple[str, str]] = None
-    fields: dict[str, tuple[str, int]] = {}
-    names = set()
-
-    def flush(line_no: int):
-        nonlocal output_dir
-        if section is None:
-            return
-        kind, name = section
+    for kind, name, fields, line_no in _sections(text):
+        sec = _Section(f"{kind} {name!r}" if name else f"[{kind}]", fields, line_no)
         if kind == "experiment":
-            experiments.append(_experiment_from(name, fields))
+            experiments.append(_experiment(sec, name))
         elif kind == "suite":
-            suites.append(SuiteSpec(
-                name=name, check=_take(fields, "check", name),
-                params=tuple(sorted((k, v) for k, (v, _) in fields.items()))))
-        elif kind == "output":
-            output_dir = fields.get("directory", (output_dir, 0))[0]
+            suites.append(SuiteSpec(name, sec.get("check"), _suite_check(sec, seed)))
         else:
-            raise ConfigError(f"unknown section kind {kind!r}", line_no)
+            output_dir = sec.get("directory", default=output_dir)
+        sec.check_all_read()
+    return RunConfig(tuple(experiments), tuple(suites), output_dir)
 
+
+def _sections(text: str) -> list[tuple[str, str, dict, int]]:
+    """``(kind, name, {key: (value, line)}, header line)`` per section."""
+    sections = []
+    names = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        if line.lstrip().startswith("["):
-            stripped = line.strip()
-            if not stripped.endswith("]"):
+        if line.startswith("["):
+            if not line.endswith("]"):
                 raise ConfigError("unterminated section header", line_no)
-            flush(line_no)
-            fields = {}
-            head = stripped[1:-1].split(None, 1)
+            head = line[1:-1].split(None, 1)
             if head[0] == "output":
-                section = ("output", "")
+                sections.append(("output", "", {}, line_no))
             elif len(head) == 2 and head[0] in ("experiment", "suite"):
                 if head[1] in names:
                     raise ConfigError(f"duplicate name {head[1]!r}", line_no)
                 names.add(head[1])
-                section = (head[0], head[1])
+                sections.append((head[0], head[1], {}, line_no))
             else:
-                raise ConfigError(f"malformed section header {stripped!r}", line_no)
+                raise ConfigError(f"malformed section header {line!r}", line_no)
             continue
-        if section is None:
+        if not sections:
             raise ConfigError("content before any section", line_no)
         if "=" not in line:
-            raise ConfigError(f"expected key = value, got {line.strip()!r}", line_no)
-        key, value = line.split("=", 1)
-        fields[key.strip()] = (value.strip(), line_no)
-    flush(len(text.splitlines()))
-    return RunConfig(tuple(experiments), tuple(suites), output_dir)
+            raise ConfigError(f"expected key = value, got {line!r}", line_no)
+        key, value = (part.strip() for part in line.split("=", 1))
+        fields = sections[-1][2]
+        if key in fields:
+            raise ConfigError(f"duplicate field {key!r}", line_no)
+        fields[key] = (value, line_no)
+    return sections
 
 
-def _take(fields: dict, key: str, section_name: str) -> str:
-    if key not in fields:
-        raise ConfigError(f"section {section_name!r} is missing {key!r}")
-    return fields[key][0]
+class _Section:
+    """One section's fields; ``check_all_read`` rejects any ``get`` never read."""
+
+    def __init__(self, label: str, fields: dict[str, tuple[str, int]], line: int):
+        self.label = label
+        self.fields = fields
+        self.line = line
+        self.read: set[str] = set()
+
+    def get(self, key: str, parse: Callable[[str], Any] = str,
+            default: Optional[str] = None) -> Any:
+        """``parse`` of the field's text, or of ``default`` when it is absent."""
+        self.read.add(key)
+        text, line = self.fields.get(key, (default, self.line))
+        if text is None:
+            raise ConfigError(f"{self.label} needs {key}=", line)
+        try:
+            return parse(text)
+        except (ValueError, ArithmeticError) as err:
+            raise ConfigError(f"{self.label}, field {key!r}: {err}", line) from err
+
+    def check_all_read(self) -> None:
+        for key, (_, line) in self.fields.items():
+            if key not in self.read:
+                raise ConfigError(f"{self.label} has no field {key!r}", line)
 
 
-def _experiment_from(name: str, fields: dict) -> ExperimentSpec:
-    op_lit = _take(fields, "operator", name)
-    vec_lit = _take(fields, "vector", name)
-    eps_text, eps_line = fields.get("epsilons", ("", 0))
-    if not eps_text:
-        raise ConfigError(f"experiment {name!r} is missing epsilons")
-    eps = tuple(Fraction(e) for e in _split_top(eps_text))
-    if any(e <= 0 for e in eps) or len(set(eps)) != len(eps):
-        raise ConfigError("epsilons must be positive and distinct", eps_line)
-    sem_text = fields.get("seminorms", ("0", 0))[0]
-    seminorms = tuple(int(s) for s in _split_top(sem_text))
-    horizon_text, hline = fields.get("horizon", ("", 0))
-    if not horizon_text:
-        raise ConfigError(f"experiment {name!r} is missing horizon")
-    horizon = int(horizon_text)
+def _horizon(text: str) -> int:
+    horizon = int(text)
     if horizon < 1:
-        raise ConfigError("horizon must be >= 1", hline)
-    seed = int(fields.get("seed", ("0", 0))[0])
-    spec = ExperimentSpec(name, op_lit, vec_lit, eps, seminorms, horizon, seed)
-    try:
-        spec.build()        # fail fast on malformed literals
-    except ConfigError:
-        raise
-    except Exception as err:
-        raise ConfigError(f"experiment {name!r}: {err}") from err
-    return spec
+        raise ValueError("horizon must be >= 1")
+    return horizon
+
+
+def _epsilons(text: str) -> tuple[Fraction, ...]:
+    eps = tuple(Fraction(e) for e in _split_top(text))
+    if not eps or any(e <= 0 for e in eps) or len(set(eps)) != len(eps):
+        raise ValueError("epsilons must be positive and distinct")
+    return eps
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in _split_top(text))
+
+
+def _turn(t: str):
+    return float(Rule(t)(0)) % 1.0 if "sqrt" in t else Fraction(t) % 1
+
+
+def _operator(sec: _Section, cls: type = Operator) -> Operator:
+    op = sec.get("operator", parse_operator)
+    if not isinstance(op, cls):
+        raise ConfigError(f"{sec.label} needs a {cls.__name__} operator",
+                          sec.fields["operator"][1])
+    return op
+
+
+def _operator_vector(sec: _Section):
+    op = _operator(sec)
+    return op, sec.get("vector", partial(parse_vector, op=op))
+
+
+def _experiment(sec: _Section, name: str) -> ExperimentSpec:
+    _operator_vector(sec)           # fail fast on malformed literals
+    return ExperimentSpec(
+        name, sec.get("operator"), sec.get("vector"), sec.get("epsilons", _epsilons),
+        sec.get("seminorms", _ints, "0"), sec.get("horizon", _horizon),
+        sec.get("seed", int, "0"))
+
+
+def _suite_check(sec: _Section, seed: int) -> Callable[[], checks.CheckOutcome]:
+    """The suite's check with every argument parsed; README lists the kinds."""
+    kind = sec.get("check")
+    horizon = sec.get("horizon", _horizon,
+                      "20000" if kind == "cut-shift-paste" else "10000")
+    epsilons = partial(sec.get, "epsilons", _epsilons, "1/2,1/5")
+    index_set = partial(parse_set_expression, horizon=horizon)
+    if kind == "kronecker":
+        turns = sec.get("turns", lambda t: [_turn(s) for s in t.split(",")])
+        eps = sec.get("epsilon", lambda t: float(Fraction(t)), "1/2")
+        return partial(checks.kronecker_return_check, turns, eps, horizon)
+    if kind == "cut-shift-paste":
+        return partial(checks.cut_shift_paste_check,
+                       sec.get("family", default="syndetic"),
+                       sec.get("trials", int, "100"),
+                       sec.get("seed", int, str(seed)), horizon)
+    if kind == "matrix-criterion":
+        return partial(checks.matrix_criterion_check, _operator(sec, Matrix),
+                       epsilons(), horizon)
+    if kind == "diagonal-criterion":
+        return partial(checks.diagonal_criterion_check, _operator(sec, Diagonal),
+                       sec.get("sample", int, "4"), epsilons(), horizon)
+    if kind == "power-consistency":
+        op, x = _operator_vector(sec)
+        return partial(checks.power_consistency_check, op, x,
+                       sec.get("p", int, "2"), epsilons(), horizon,
+                       seminorms=sec.get("seminorms", _ints, "0"))
+    if kind == "scaling-consistency":
+        op, x = _operator_vector(sec)
+        return partial(checks.scaling_consistency_check, op, x,
+                       sec.get("factor", parse_scalar, "rot(1/3)"), epsilons(),
+                       horizon, seminorms=sec.get("seminorms", _ints, "0"))
+    if kind == "shift-series":
+        return partial(checks.shift_series_check, sec.get("weights", Rule, "2"),
+                       sec.get("support", index_set, f"intervals(1-{horizon})"),
+                       sec.get("threshold", float, "10"))
+    if kind == "translation-invariance":
+        return partial(checks.translation_invariance_check,
+                       sec.get("window", index_set, "residue(3,0)"),
+                       sec.get("m", int, "7"))
+    if kind == "minimality-separation":
+        op, x = _operator_vector(sec)
+        return partial(checks.minimality_separation_check, op, x,
+                       sec.get("reference", partial(parse_vector, op=op)), horizon,
+                       seminorm_index=sec.get("seminorm", int, "0"))
+    if kind == "eigenvector-span":
+        # diagonal operators carry their eigenvectors: unit coordinates
+        op = _operator(sec, Diagonal)
+
+        def eigenpairs(text):
+            coeffs = [parse_scalar(c) for c in text.split(",")]
+            return coeffs, [(op.entry(k), SparseVector.unit(op.space, k))
+                            for k in range(1, len(coeffs) + 1)]
+        coeffs, pairs = sec.get("coefficients", eigenpairs, "1")
+        return partial(checks.eigenvector_span_check, op, pairs, coeffs,
+                       epsilons(), horizon)
+    raise ConfigError(f"unknown check kind {kind!r} in {sec.label}", sec.line)
 
 
 # ---------------------------------------------------------------------------

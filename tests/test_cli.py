@@ -107,7 +107,8 @@ class TestSetExpressions:
 
     @pytest.mark.parametrize("text", ["residue(0,1)", "explicit(1, x)",
                                       "intervals(3-x)", "intervals(5-2)",
-                                      "fs(3, 2; 2)", "fs(1, 2; x)"])
+                                      "fs(3, 2; 2)", "fs(1, 2; x)",
+                                      "explicit(5, 99)", "intervals(30-40)"])
     def test_malformed_raise_config_error(self, text):
         with pytest.raises(ConfigError):
             parse_set_expression(text, 20)
@@ -197,6 +198,35 @@ class TestRunner:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "residue(0,1)" in capsys.readouterr().err
         assert not (tmp_path / "out/experiments").exists()
+
+    @pytest.mark.parametrize("text", [
+        SMALL_CONFIG + ("\n[suite bad-m]\ncheck = translation-invariance\n"
+                        "window = residue(3,0)\nm = x\nhorizon = 100\n"),
+        SMALL_CONFIG.replace("horizon = 500", "horizon = x"),
+        SMALL_CONFIG.replace("horizon = 500\n", "horizon = 500\nseed = x\n"),
+        SMALL_CONFIG.replace("horizon = 2000", "horizn = 50"),
+        SMALL_CONFIG + ("\n[experiment rows]\noperator = rowrotation\n"
+                        "vector = vec(rowpattern)\nepsilons = 3/32\nseminorm = 2\n"
+                        "horizon = 100\n"),
+        SMALL_CONFIG.replace("directory = results", "dir = x"),
+        SMALL_CONFIG.replace("check = kronecker", "check = bogus"),
+    ], ids=["suite-m", "horizon", "seed", "horizn", "seminorm", "output-dir",
+            "check-kind"])
+    def test_bad_field_exits_two_before_any_work(self, tmp_path, capsys, text):
+        cfg = self.write(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out/experiments").exists()
+
+    def test_run_seed_seeds_suites_without_their_own(self, tmp_path):
+        cfg = self.write(tmp_path, "[suite csp]\ncheck = cut-shift-paste\n"
+                         "trials = 5\nhorizon = 2000\n")
+        outs = []
+        for sub, seed in (("a", "1"), ("b", "2"), ("c", "1")):
+            assert main(["run", str(cfg), "--out", str(tmp_path / sub),
+                         "--seed", seed]) == 0
+            outs.append((tmp_path / sub / "suites/csp.txt").read_bytes())
+        assert outs[0] != outs[1] and outs[0] == outs[2]
 
     def test_failure_isolation(self, tmp_path, capsys):
         # float precision cannot carry the deep block weights; that one
