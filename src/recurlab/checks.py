@@ -123,10 +123,7 @@ def kronecker_return_check(turns: Sequence, eps: float, N: int,
     }
     exact_d = None
     if all(isinstance(t, Fraction) for t in turns):
-        d = 1
-        for t in turns:
-            q = (t % 1).denominator
-            d = d * q // math.gcd(d, q)
+        d = math.lcm(*((t % 1).denominator for t in turns))
         min_nonzero = min((2.0 * abs(math.sin(math.pi * k / d))
                            for k in range(1, d)), default=2.0)
         if eps < min_nonzero:
@@ -143,17 +140,6 @@ def kronecker_return_check(turns: Sequence, eps: float, N: int,
 # criterion-versus-simulation checks
 # ---------------------------------------------------------------------------
 
-def _basis_labels(op: Operator, dim: int, eps_grid, N: int,
-                  thresholds: Thresholds, seminorms=(0,)) -> list[Label]:
-    labels = []
-    for k in range(1, dim + 1):
-        x = SparseVector.unit(op.space if isinstance(op, Matrix)
-                              else SequenceLp(2), k)
-        recs = return_sets(op, x, eps_grid, seminorms, N)
-        labels.append(classify(recs, thresholds).label)
-    return labels
-
-
 def matrix_criterion_check(mat: Matrix, eps_grid: Sequence, N: int,
                            tolerance: float = 1e-10,
                            thresholds: Thresholds = Thresholds()) -> CheckOutcome:
@@ -168,7 +154,10 @@ def matrix_criterion_check(mat: Matrix, eps_grid: Sequence, N: int,
     except NumericalFailure as err:
         return _skip("matrix-criterion", f"eigen failure: {err}", parts)
     criterion = eig.diagonalizable and eig.all_unimodular
-    labels = _basis_labels(mat, mat.n, eps_grid, N, thresholds)
+    # one label per basis vector
+    labels = [classify(return_sets(mat, SparseVector.unit(mat.space, k), eps_grid,
+                                   (0,), N), thresholds).label
+              for k in range(1, mat.n + 1)]
     simulated = all(lab >= Label.UNIFORMLY_RECURRENT for lab in labels)
     metrics = {
         "criterion": criterion,

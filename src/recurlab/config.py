@@ -42,7 +42,7 @@ from .families import IndexWindow, SetPredicate, ip_generate
 from .operators import (AffineComposition, BlockCycle, Diagonal,
                         EntireCoefficients, FiniteRowVector, Matrix, Operator,
                         RowRotation, RowState, SparseVector, Vector,
-                        WeightedBackwardShift)
+                        WeightedBackwardShift, check_seminorm_index)
 from .rules import Rule, RuleSyntaxError
 from .values import Phase, Value, to_complex
 
@@ -77,10 +77,9 @@ def parse_scalar(text: str) -> Value:
         raise ConfigError("empty scalar literal")
     if t.startswith("rot(") and t.endswith(")"):
         rule = Rule(t[4:-1])
-        v0, v1 = rule(0), rule(1)
-        if v0 != v1:
+        if rule.uses_n:
             raise ConfigError("rot(...) used as a scalar must not depend on n")
-        return Phase(Fraction(1), v0)
+        return Phase(Fraction(1), rule(0))
     if t.endswith("i") and not t.endswith("pi"):
         mm = _COMPLEX_RE.match(t.replace(" ", ""))
         if mm:
@@ -235,6 +234,11 @@ def parse_vector(text: str, op: Operator) -> Vector:
                               "only the zero vector vec(sparse:) and "
                               "vec(rowpattern) are expressible here")
         return FiniteRowVector(())
+    # power series start at degree 0, the bilateral shift runs over all of Z
+    first = 0 if isinstance(op.space, EntireCoefficients) else 1
+    bilateral = isinstance(op, WeightedBackwardShift) and op.bilateral
+    if not bilateral and any(i < first for i, _ in pairs):
+        raise ConfigError(f"coordinates of this space start at index {first}")
     return SparseVector.from_pairs(op.space, pairs)
 
 
@@ -403,8 +407,15 @@ def _epsilons(text: str) -> tuple[Fraction, ...]:
     return eps
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in _split_top(text))
+def _seminorm(op: Operator, text: str) -> int:
+    return check_seminorm_index(op.space, int(text))
+
+
+def _seminorms(op: Operator, text: str) -> tuple[int, ...]:
+    indices = tuple(_seminorm(op, s) for s in _split_top(text))
+    if not indices:
+        raise ValueError("need at least one seminorm index")
+    return indices
 
 
 def _turn(t: str):
@@ -425,10 +436,11 @@ def _operator_vector(sec: _Section):
 
 
 def _experiment(sec: _Section, name: str) -> ExperimentSpec:
-    _operator_vector(sec)           # fail fast on malformed literals
+    op, _ = _operator_vector(sec)   # fail fast on malformed literals
     return ExperimentSpec(
         name, sec.get("operator"), sec.get("vector"), sec.get("epsilons", _epsilons),
-        sec.get("seminorms", _ints, "0"), sec.get("horizon", _horizon),
+        sec.get("seminorms", partial(_seminorms, op), "0"),
+        sec.get("horizon", _horizon),
         sec.get("seed", int, "0"))
 
 
@@ -458,12 +470,13 @@ def _suite_check(sec: _Section, seed: int) -> Callable[[], checks.CheckOutcome]:
         op, x = _operator_vector(sec)
         return partial(checks.power_consistency_check, op, x,
                        sec.get("p", int, "2"), epsilons(), horizon,
-                       seminorms=sec.get("seminorms", _ints, "0"))
+                       seminorms=sec.get("seminorms", partial(_seminorms, op), "0"))
     if kind == "scaling-consistency":
         op, x = _operator_vector(sec)
         return partial(checks.scaling_consistency_check, op, x,
                        sec.get("factor", parse_scalar, "rot(1/3)"), epsilons(),
-                       horizon, seminorms=sec.get("seminorms", _ints, "0"))
+                       horizon,
+                       seminorms=sec.get("seminorms", partial(_seminorms, op), "0"))
     if kind == "shift-series":
         return partial(checks.shift_series_check, sec.get("weights", Rule, "2"),
                        sec.get("support", index_set, f"intervals(1-{horizon})"),
@@ -476,7 +489,7 @@ def _suite_check(sec: _Section, seed: int) -> Callable[[], checks.CheckOutcome]:
         op, x = _operator_vector(sec)
         return partial(checks.minimality_separation_check, op, x,
                        sec.get("reference", partial(parse_vector, op=op)), horizon,
-                       seminorm_index=sec.get("seminorm", int, "0"))
+                       seminorm_index=sec.get("seminorm", partial(_seminorm, op), "0"))
     if kind == "eigenvector-span":
         # diagonal operators carry their eigenvectors: unit coordinates
         op = _operator(sec, Diagonal)

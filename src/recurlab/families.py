@@ -315,32 +315,23 @@ def density_report(window: IndexWindow, burn_in: Optional[int] = None,
 def ip_generate(generators: Sequence[int], depth: int, horizon: int) -> IndexWindow:
     """All sums of at most ``depth`` distinct generators, truncated at the horizon.
 
-    Generators must be strictly increasing positive integers.  The result is
-    the finite-sums set of the generator list, restricted to sums of at most
-    ``depth`` terms and to ``[0, horizon]``.
+    Generators must be strictly increasing positive integers.  Row c of one
+    bool array holds the sums of exactly c distinct generators; each
+    generator ORs every row, shifted right by it, into the next row.
     """
     gens = list(generators)
     if not gens or depth < 1:
         raise ConfigurationError("need a nonempty generator list and depth >= 1")
-    prev = 0
+    if any(g <= prev for prev, g in zip([0] + gens, gens)):
+        raise ConfigurationError("generators must be strictly increasing positives")
+    gens = [g for g in gens if g <= horizon]
+    width = min(horizon, sum(gens)) + 1
+    reach = np.zeros((min(depth, len(gens)) + 1, max(width, 0)), dtype=bool)
+    reach[0, :1] = True
     for g in gens:
-        if g <= prev:
-            raise ConfigurationError("generators must be strictly increasing positives")
-        prev = g
-    # min number of terms needed per reachable sum
-    terms = {0: 0}
-    for g in gens:
-        updates = {}
-        for s, c in terms.items():
-            t = s + g
-            if t <= horizon and c + 1 <= depth:
-                if terms.get(t, depth + 1) > c + 1 and updates.get(t, depth + 1) > c + 1:
-                    updates[t] = c + 1
-        for t, c in updates.items():
-            if terms.get(t, depth + 1) > c:
-                terms[t] = c
-    sums = sorted(s for s in terms if s > 0)
-    return IndexWindow(sums, horizon)
+        # read a copy of the old rows, so each generator is used at most once
+        reach[1:, g:] |= reach[:-1, :width - g].copy()
+    return IndexWindow(np.flatnonzero(reach[1:].any(axis=0)), horizon)
 
 
 @dataclass(frozen=True)
@@ -400,10 +391,11 @@ def ip_star_probe(window: IndexWindow, budget: int = 4) -> IpProbeResult:
 
     Positive direction: scan for an arithmetic certificate ``k*N0 <= A``
     (k up to sqrt(H), plus the gcd of the elements).  Negative direction: up
-    to ``budget`` greedy restarts try to grow generators ``g_1 < g_2 < ...``
-    whose complete finite-sums set (all subset sums, which stay within the
-    horizon by construction) avoids A; a maximal witness with at least
-    :func:`witness_floor` generators falsifies.  Anything else is
+    to ``budget`` greedy restarts, restart r from the r-th non-member >= 1,
+    grow generators ``g_1 < g_2 < ...`` whose finite-sums set avoids A: one
+    mask marks each t with t or t + (a subset sum) in A, and the next
+    generator is the first unmarked t past the last.  A witness with at
+    least :func:`witness_floor` generators falsifies.  Anything else is
     inconclusive: finite horizons cannot decide the dual family, so no
     positive claim is made beyond the arithmetic certificate.
     """
@@ -419,40 +411,23 @@ def ip_star_probe(window: IndexWindow, budget: int = 4) -> IpProbeResult:
     non_members = np.nonzero(~mask[1:])[0] + 1      # candidates start at 1
     used = 0
     best: tuple[int, ...] = ()
-    for restart in range(budget):
-        if restart >= len(non_members):
-            break
-        used += 1
-        g0 = int(non_members[restart])
+    for used, g0 in enumerate(non_members[:budget].tolist(), start=1):
         gens = [g0]
-        sums = np.array([g0], dtype=np.int64)
-        total = g0
-        falsified = False
-        while not falsified:
-            lo, hi = gens[-1] + 1, h - total
-            found = None
-            pos = lo
-            chunk = max(64, min(4096, (1 << 21) // max(1, sums.size)))
-            while pos <= hi:
-                cands = np.arange(pos, min(pos + chunk, hi + 1), dtype=np.int64)
-                cands = cands[~mask[cands]]
-                if cands.size:
-                    # admissible iff no translated sum lands in A
-                    hit = mask[sums[:, None] + cands[None, :]].any(axis=0)
-                    good = cands[~hit]
-                    if good.size:
-                        found = int(good[0])
-                        break
-                pos += chunk
-            if found is None:
+        # blocked[t]: t + s in A for s = 0 or a sum of distinct generators;
+        # exact for t <= h - sum(gens), the only t ever read
+        blocked = mask.copy()
+        blocked[:-g0] |= mask[g0:]
+        while len(gens) < floor:
+            lo = gens[-1] + 1
+            free = ~blocked[lo:h - sum(gens) + 1]
+            if not free.any():
                 break
-            gens.append(found)
-            sums = np.unique(np.concatenate([sums, np.array([found]), sums + found]))
-            total += found
-            falsified = len(gens) >= floor
+            g = lo + int(free.argmax())
+            gens.append(g)
+            blocked[:-g] |= blocked[g:]
         if len(gens) > len(best):
             best = tuple(gens)
-        if falsified:
+        if len(gens) >= floor:
             return IpProbeResult("falsified", witness=tuple(gens), budget_used=used)
     return IpProbeResult("inconclusive", witness=best, budget_used=used)
 

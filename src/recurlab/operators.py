@@ -47,8 +47,8 @@ __all__ = [
     "SparseVector", "RowState", "FiniteRowVector",
     "Operator", "BlockCycle", "WeightedBackwardShift", "Diagonal", "RowRotation",
     "AffineComposition", "Matrix", "Scaled", "Power",
-    "apply", "power_apply", "seminorm", "diff_seminorm", "exact_state_period",
-    "state_exact_eq",
+    "apply", "power_apply", "seminorm", "diff_seminorm", "check_seminorm_index",
+    "exact_state_period", "state_exact_eq",
     "eigen_structure", "EigenStructure", "continuity_bound_check",
     "continuity_bound_constant", "PrecisionError", "SpaceMismatch",
 ]
@@ -838,8 +838,23 @@ def _exact_or_float(combine, terms):
     return exact if all_exact else combine(floating, float(exact))
 
 
+def check_seminorm_index(space: Space, index: int) -> int:
+    """``index`` if the space has a seminorm of that index, else ValueError."""
+    if isinstance(space, DyadicRowSpace):
+        ok, allowed = index >= 1, ">= 1"
+    elif isinstance(space, EntireCoefficients):
+        ok, allowed = 0 <= index < len(space.radii), f"in 0..{len(space.radii) - 1}"
+    else:                       # the normed spaces SequenceLp, SequenceSup, FiniteDim
+        ok, allowed = index == 0, "0"
+    if not ok:
+        raise ValueError(f"seminorm index must be {allowed} on "
+                         f"{type(space).__name__}, got {index}")
+    return index
+
+
 def seminorm(space: Space, index: int, x: Vector):
     """Seminorm of the given index; exact (Fraction/ExactSqrt) where possible."""
+    check_seminorm_index(space, index)
     if isinstance(space, DyadicRowSpace):
         return _row_seminorm(index, x)
     if not isinstance(x, SparseVector):
@@ -850,6 +865,7 @@ def seminorm(space: Space, index: int, x: Vector):
 
 def diff_seminorm(space: Space, index: int, x: Vector, y: Vector):
     """Seminorm of ``x - y`` without forming the difference inexactly."""
+    check_seminorm_index(space, index)
     if isinstance(space, DyadicRowSpace):
         return _row_diff_seminorm(index, x, y)
     if not (isinstance(x, SparseVector) and isinstance(y, SparseVector)):
@@ -921,8 +937,6 @@ def _pattern_watch_rows(offset: int, index: int) -> list[int]:
 
 
 def _row_seminorm(index: int, x: Vector):
-    if index < 1:
-        raise ValueError("seminorm index must be >= 1")
     if isinstance(x, RowState):
         first = Fraction(2)      # sum_k 2^-k over the full one-hot pattern
         second = sum(_pattern_watch_rows(x.offset, index))
@@ -1007,8 +1021,8 @@ def continuity_bound_constant(index: int) -> tuple[int, int]:
 def continuity_bound_check(x: Vector, index: int) -> bool:
     """Verify ``p_n(Tx) <= (1+(l-1) 2^(l-1)) p_(n+1)(x)`` on a row-space vector."""
     _, c = continuity_bound_constant(index)
-    lhs = _row_seminorm(index, apply(RowRotation(), x))
-    rhs = _row_seminorm(index + 1, x)
+    lhs = seminorm(x.space, index, apply(RowRotation(), x))
+    rhs = seminorm(x.space, index + 1, x)
     if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
         return lhs <= c * rhs
     return float(lhs) <= c * float(rhs) * (1 + 1e-12)

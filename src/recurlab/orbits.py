@@ -36,8 +36,9 @@ import numpy as np
 from .families import IndexWindow
 from .operators import (Diagonal, FiniteDim, Matrix, Operator, Power,
                         RowRotation, RowState, Scaled, SequenceLp,
-                        SparseVector, Vector, apply, diff_seminorm,
-                        exact_state_period, power_apply, seminorm)
+                        SparseVector, Vector, apply, check_seminorm_index,
+                        diff_seminorm, exact_state_period, power_apply,
+                        seminorm)
 from .values import ExactSqrt, Phase, norm_lt, to_complex, vabs
 
 __all__ = [
@@ -116,7 +117,7 @@ def return_sets(op: Operator, x: Vector, eps_grid: Sequence,
     radii = [Fraction(eps) for eps in eps_grid]
     if any(eps <= 0 for eps in radii):
         raise ValueError("epsilon must be positive")
-    seminorms = tuple(seminorms)
+    seminorms = tuple(check_seminorm_index(x.space, i) for i in seminorms)
     prof = distance_profile(op, x, seminorms, N)
     return [ReturnSetRecord(
         operator=op, vector=x, epsilon=eps, seminorm_indices=seminorms,

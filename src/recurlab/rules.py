@@ -205,6 +205,11 @@ class Rule:
             return all(scan(c) for c in node[1:] if isinstance(c, tuple))
         return scan(self._ast)
 
+    @property
+    def uses_n(self) -> bool:
+        """True when the expression mentions ``n``."""
+        return "n" in _tokenize(self.source)
+
     def __eq__(self, other):
         return isinstance(other, Rule) and self.source == other.source
 

@@ -210,8 +210,20 @@ class TestRunner:
                         "horizon = 100\n"),
         SMALL_CONFIG.replace("directory = results", "dir = x"),
         SMALL_CONFIG.replace("check = kronecker", "check = bogus"),
+        SMALL_CONFIG.replace("horizon = 500\n", "horizon = 500\nseminorms = 9\n"),
+        SMALL_CONFIG + ("\n[experiment comp]\noperator = comp(a=rot(1/5), b=1)\n"
+                        "vector = vec(sparse: 0:1)\nepsilons = 1/2\nseminorms = -1\n"
+                        "horizon = 100\n"),
+        SMALL_CONFIG.replace("vec(sparse: 5:1)", "vec(sparse: 0:1)"),
+        SMALL_CONFIG + ("\n[experiment comp]\noperator = comp(a=rot(1/5), b=1)\n"
+                        "vector = vec(sparse: -1:1)\nepsilons = 1/2\nhorizon = 100\n"),
+        SMALL_CONFIG + ("\n[suite scale]\ncheck = scaling-consistency\n"
+                        "operator = blockcycle\nvector = vec(sparse: 5:1)\n"
+                        "factor = rot(n*(n-1))\nhorizon = 100\n"),
+        SMALL_CONFIG.replace("horizon = 500\n", "horizon = 500\nseminorms = ,\n"),
     ], ids=["suite-m", "horizon", "seed", "horizn", "seminorm", "output-dir",
-            "check-kind"])
+            "check-kind", "seminorm-index", "radius-index", "coordinate-zero",
+            "degree-negative", "rot-mentions-n", "no-seminorm"])
     def test_bad_field_exits_two_before_any_work(self, tmp_path, capsys, text):
         cfg = self.write(tmp_path, text)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -279,6 +279,13 @@ class TestSeminorms:
         x = SparseVector.from_pairs(space, [(1, Fraction(-3)), (4, Fraction(2))])
         assert seminorm(space, 0, x) == 5
 
+    def test_row_diff_seminorm_rejects_index_zero(self):
+        space = RowState(0).space
+        for norm in (lambda: seminorm(space, 0, RowState(3)),
+                     lambda: diff_seminorm(space, 0, RowState(3), RowState(0))):
+            with pytest.raises(ValueError, match="seminorm index"):
+                norm()
+
 
 class TestEigenStructure:
     def test_quarter_rotation(self):

@@ -4,10 +4,13 @@ Every constructor of :class:`IndexWindow` gives the same window for the same
 subset of [0, H], including the empty set, {0} and the full range.  The
 views (``elements``, ``array``, ``mask``, ``member_set``, ``count``, ``in``)
 agree with that subset, and translation, dilation, contraction and
-cut-shift-paste equal their set definitions written in plain Python.
+cut-shift-paste equal their set definitions written in plain Python.  The
+finite-sums routines equal brute-force enumeration of subset sums.
 """
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurlab import (CutShiftPaste, IndexWindow, SetPredicate, contract,
-                      cut_shift_paste, dilate)
+                      cut_shift_paste, dilate, ip_generate, ip_star_probe)
+from recurlab.families import arithmetic_certificate, witness_floor
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -132,3 +136,54 @@ def test_rejects_non_integral_elements(elements):
 def test_from_iterable_rejects_non_integral_elements():
     with pytest.raises(ValueError):
         IndexWindow.from_iterable([0, 2.5], 10)
+
+
+def subset_sums(gens, max_terms):
+    return {sum(c) for r in range(max_terms + 1) for c in combinations(gens, r)}
+
+
+def reference_probe(window, budget):
+    """The greedy dual-family probe in plain Python: each generator is the
+    smallest candidate past the last whose translates by every subset sum,
+    the empty sum included, avoid A."""
+    k = arithmetic_certificate(window)
+    if k is not None:
+        return "arithmetic", k, (), 0
+    h, members = window.horizon, window.member_set
+    floor = witness_floor(h)
+    best, used = (), 0
+    for g0 in [n for n in range(1, h + 1) if n not in members][:budget]:
+        used += 1
+        gens = [g0]
+        while len(gens) < floor:
+            sums = subset_sums(gens, len(gens))
+            g = next((g for g in range(gens[-1] + 1, h - sum(gens) + 1)
+                      if all(g + s not in members for s in sums)), None)
+            if g is None:
+                break
+            gens.append(g)
+        if len(gens) > len(best):
+            best = tuple(gens)
+        if len(gens) >= floor:
+            return "falsified", None, best, used
+    return "inconclusive", None, best, used
+
+
+@PROPERTY
+@given(st.integers(0, 200), st.sampled_from((0.02, 0.1, 0.3, 0.6, 0.9)),
+       st.integers(0, 2 ** 32), st.integers(1, 4))
+def test_ip_star_probe_matches_plain_greedy(h, density, seed, budget):
+    rng = random.Random(seed)
+    window = IndexWindow([n for n in range(h + 1) if rng.random() < density], h)
+    out = ip_star_probe(window, budget)
+    got = (out.verdict, out.certificate_k, out.witness, out.budget_used)
+    assert got == reference_probe(window, budget)
+
+
+@PROPERTY
+@given(st.sets(st.integers(1, 60), min_size=1, max_size=8), st.integers(1, 9),
+       st.integers(0, 300))
+def test_ip_generate_matches_subset_enumeration(gens, depth, h):
+    gens = sorted(gens)
+    want = sorted(s for s in subset_sums(gens, depth) if 0 < s <= h)
+    assert ip_generate(gens, depth, h) == IndexWindow(want, h)
