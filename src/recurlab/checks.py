@@ -26,9 +26,9 @@ from .classify import Label, Thresholds, classify, window_evidence
 from .operators import (Diagonal, Matrix, NumericalFailure, Operator, Power,
                         Scaled, SequenceLp, SparseVector, Vector,
                         WeightedBackwardShift, apply, diff_seminorm,
-                        eigen_structure, exact_state_period, power_apply,
-                        seminorm, state_exact_eq)
-from .orbits import growth_schedule, return_sets
+                        eigen_structure, power_apply, seminorm,
+                        state_exact_eq)
+from .orbits import growth_schedule, periodic_orbit, return_sets
 from .rules import Rule
 from .values import Phase, to_complex, vabs
 
@@ -538,13 +538,10 @@ def minimality_separation_check(op: Operator, x: Vector, y: Vector, N: int,
     periodic orbit it does not already live on: the sampled distance floor
     must stay strictly positive."""
     parts = (repr(op), repr(x)[:60], repr(y)[:60], N)
-    period = exact_state_period(op, y)
-    if period is None:
+    orbit = periodic_orbit(op, y)
+    if orbit is None:
         return _skip("minimality-separation", "reference point is not exactly periodic",
                      parts)
-    orbit = [y]
-    for _ in range(period - 1):
-        orbit.append(apply(op, orbit[-1]))
     if any(state_exact_eq(x, z) for z in orbit):
         return _skip("minimality-separation", "x lies on the periodic orbit", parts)
     space = x.space
@@ -556,7 +553,7 @@ def minimality_separation_check(op: Operator, x: Vector, y: Vector, N: int,
             d = float(diff_seminorm(space, seminorm_index, z, w))
             if d < best:
                 best, arg = d, (n, r)
-    metrics = {"floor": best, "argmin": arg, "period": period}
+    metrics = {"floor": best, "argmin": arg, "period": len(orbit)}
     return _outcome("minimality-separation", best > floor, metrics,
                     {"floor": best}, parts=parts)
 

@@ -22,7 +22,7 @@ sequence of sections::
 Scalars: exact rationals ``p/q``, decimals, complex ``re+imi`` (e.g. ``1+2i``,
 ``0.5-0.5i``, ``i``), and ``rot(expr)`` for the unimodular point at ``expr``
 turns.  Operator literals: ``matrix([[...],[...]])``, ``shift(weights=expr,
-side=uni|bi)``, ``diag(rot(expr))`` or ``diag(expr)``, ``blockcycle``,
+side=uni)``, ``diag(rot(expr))`` or ``diag(expr)``, ``blockcycle``,
 ``rowrotation``, ``comp(a=..., b=..., deg=...)``.  Vector literals:
 ``vec(sparse: idx:val, ...)`` and ``vec(rowpattern)``.  Set expressions:
 ``residue(k,r)``, ``fs(g1,...,gm; depth)``, ``intervals(a-b, c-d)``,
@@ -176,14 +176,14 @@ def _parse_shift(body: str) -> WeightedBackwardShift:
     kw = _parse_kwargs(body)
     if "weights" not in kw:
         raise ConfigError("shift(...) needs weights=")
-    side = kw.get("side", "uni")
-    if side not in ("uni", "bi"):
-        raise ConfigError("shift side must be uni or bi")
+    if kw.get("side", "uni") != "uni":
+        raise ConfigError("shift side must be uni: the space is indexed from 1, "
+                          "so there is no bilateral shift on it")
     try:
         rule = Rule(kw["weights"])
     except RuleSyntaxError as err:
         raise ConfigError(str(err)) from err
-    return WeightedBackwardShift(rule, bilateral=(side == "bi"))
+    return WeightedBackwardShift(rule)
 
 
 def _parse_diag(body: str) -> Diagonal:
@@ -234,10 +234,9 @@ def parse_vector(text: str, op: Operator) -> Vector:
                               "only the zero vector vec(sparse:) and "
                               "vec(rowpattern) are expressible here")
         return FiniteRowVector(())
-    # power series start at degree 0, the bilateral shift runs over all of Z
+    # power series start at degree 0
     first = 0 if isinstance(op.space, EntireCoefficients) else 1
-    bilateral = isinstance(op, WeightedBackwardShift) and op.bilateral
-    if not bilateral and any(i < first for i, _ in pairs):
+    if any(i < first for i, _ in pairs):
         raise ConfigError(f"coordinates of this space start at index {first}")
     return SparseVector.from_pairs(op.space, pairs)
 

@@ -312,12 +312,18 @@ def density_report(window: IndexWindow, burn_in: Optional[int] = None,
 # finite-sums sets and the dual-family probe
 # ---------------------------------------------------------------------------
 
+# the largest (term count) x (sum) table ip_generate builds: 256 MiB of bools
+_IP_TABLE_CELLS = 1 << 28
+
+
 def ip_generate(generators: Sequence[int], depth: int, horizon: int) -> IndexWindow:
     """All sums of at most ``depth`` distinct generators, truncated at the horizon.
 
     Generators must be strictly increasing positive integers.  Row c of one
     bool array holds the sums of exactly c distinct generators; each
-    generator ORs every row, shifted right by it, into the next row.
+    generator ORs every row, shifted right by it, into the next row.  A
+    table of more than ``_IP_TABLE_CELLS`` cells is refused before it is
+    allocated.
     """
     gens = list(generators)
     if not gens or depth < 1:
@@ -325,8 +331,12 @@ def ip_generate(generators: Sequence[int], depth: int, horizon: int) -> IndexWin
     if any(g <= prev for prev, g in zip([0] + gens, gens)):
         raise ConfigurationError("generators must be strictly increasing positives")
     gens = [g for g in gens if g <= horizon]
-    width = min(horizon, sum(gens)) + 1
-    reach = np.zeros((min(depth, len(gens)) + 1, max(width, 0)), dtype=bool)
+    rows, width = min(depth, len(gens)) + 1, max(min(horizon, sum(gens)) + 1, 0)
+    if rows * width > _IP_TABLE_CELLS:
+        raise ConfigurationError(
+            f"finite-sums table of {rows} x {width} cells exceeds {_IP_TABLE_CELLS}; "
+            "lower the horizon, the generators or the depth")
+    reach = np.zeros((rows, width), dtype=bool)
     reach[0, :1] = True
     for g in gens:
         # read a copy of the old rows, so each generator is used at most once

@@ -357,10 +357,9 @@ class BlockCycle(Operator):
 
 @dataclass(frozen=True)
 class WeightedBackwardShift(Operator):
-    """``(x_n) -> (w_(n+1) x_(n+1))``; unilateral drops what falls off index 1."""
+    """``(x_n) -> (w_(n+1) x_(n+1))``, unilateral: drops what falls off index 1."""
 
     weights: Rule
-    bilateral: bool = False
     space: Space = SequenceLp(2)
 
     def weight(self, index: int):
@@ -378,12 +377,12 @@ class WeightedBackwardShift(Operator):
 
     def apply(self, x):
         pairs = [(i - 1, vmul(v, self.weight(i)))
-                 for i, v in _sparse(self, x).entries if i - 1 >= 1 or self.bilateral]
+                 for i, v in _sparse(self, x).entries if i - 1 >= 1]
         return SparseVector.from_pairs(x.space, pairs)
 
     def power(self, x, n):
         pairs = [(i - n, vmul(v, self.weight_product(i, n)))
-                 for i, v in _sparse(self, x).entries if i - n >= 1 or self.bilateral]
+                 for i, v in _sparse(self, x).entries if i - n >= 1]
         return SparseVector.from_pairs(x.space, pairs)
 
     def describe(self):
@@ -393,7 +392,7 @@ class WeightedBackwardShift(Operator):
             prod *= float(self.weights(nu))
             prods.append(f"{prod:.4g}")
         return [
-            f"kind: {'bilateral' if self.bilateral else 'unilateral'} weighted backward shift",
+            "kind: unilateral weighted backward shift",
             f"weights: w_n = {self.weights.source}",
             f"weight products prod(w_1..w_n), n=1..6: {', '.join(prods)}",
             "notes: recurrence strength is governed by the series sum over A of",

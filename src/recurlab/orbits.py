@@ -16,6 +16,9 @@ the cheapest sound strategy:
   exact sparse data and stops once the orbit reaches the zero vector: every
   operator is linear, so the remaining values all equal ``p_i(x)``.
 
+The states of an exactly periodic orbit come from ``periodic_orbit`` alone,
+and every eigenvalue power of a closed form from ``_polar_powers`` alone.
+
 ``return_sets`` cuts the windows of a whole epsilon grid from one profile, so
 they are nested in epsilon by construction.
 
@@ -26,6 +29,7 @@ forms omit one (never the other way), so a reported return is never false.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +48,7 @@ from .values import ExactSqrt, Phase, norm_lt, to_complex, vabs
 __all__ = [
     "ReturnSetRecord", "GrowthCurve", "CoveringReport", "PowerBoundVerdict",
     "return_set", "return_sets", "distance_profile", "orbit_growth", "orbit_norms",
-    "power_bounded_probe", "totally_bounded_probe",
+    "periodic_orbit", "power_bounded_probe", "totally_bounded_probe",
 ]
 
 _PERIOD_CAP = 1 << 22
@@ -135,22 +139,33 @@ def return_set(op: Operator, x: Vector, eps, seminorms: Sequence[int] = (0,),
 # distance profiles
 # ---------------------------------------------------------------------------
 
+def periodic_orbit(op: Operator, x: Vector,
+                   cap: Optional[int] = None) -> Optional[list[Vector]]:
+    """The states ``T^r x`` for r below the minimal exact period of x, or
+    None when x has no exact period (or none <= cap)."""
+    period = exact_state_period(op, x)
+    if period is None or (cap is not None and period > cap):
+        return None
+    return [power_apply(op, x, r) for r in range(period)]
+
+
 def distance_profile(op: Operator, x: Vector, seminorms: tuple[int, ...],
                      N: int) -> DistanceProfile:
-    period = exact_state_period(op, x)
-    if period is not None and period <= min(N + 1, _PERIOD_CAP):
-        vals = tuple(_distance_at(op, x, seminorms, r) for r in range(period))
-        return DistanceProfile(vals, N, period=period, exact=True)
+    orbit = periodic_orbit(op, x, min(N + 1, _PERIOD_CAP))
+    if orbit is not None:
+        vals = tuple(_distance(y, x, seminorms) for y in orbit)
+        return DistanceProfile(vals, N, period=len(orbit), exact=True)
 
     base, factor, stride = _peel(op)
     fast = _FAST_PATHS.get(type(base))
     prof = None if fast is None else fast(base, factor, stride, x, seminorms, N)
     if prof is not None:
         return prof
-    scaled = _scaled_periodic_base(base, factor, stride, x)
-    if scaled is not None:
-        inner, p = scaled
-        return scaled_profile(inner, factor, stride, p, x, seminorms, N)
+    # a scalar multiple of a base whose (powered) orbit cycles exactly
+    if factor is not None and isinstance(x, SparseVector) and _l2_like(base.space):
+        cycle = periodic_orbit(Power(base, stride) if stride > 1 else base, x, 1 << 16)
+        if cycle is not None:
+            return scaled_profile(cycle, factor, stride, N)
     return _stepwise_profile(op, x, seminorms, N)
 
 
@@ -186,8 +201,8 @@ def _l2_like(space) -> bool:
         isinstance(space, SequenceLp) and space.p == 2)
 
 
-def _distance_at(op: Operator, x: Vector, seminorms: tuple[int, ...], n: int):
-    y = power_apply(op, x, n)
+def _distance(y: Vector, x: Vector, seminorms: tuple[int, ...]):
+    """``max_i p_i(y - x)``."""
     return _max_norm([diff_seminorm(x.space, i, y, x) for i in seminorms])
 
 
@@ -214,14 +229,13 @@ def _stepwise_profile(op: Operator, x: Vector, seminorms: tuple[int, ...],
     Every operator is linear, so once ``T^n x = 0`` every later state is 0
     too and the remaining values repeat ``p_i(x)``.
     """
-    space = x.space
     vals = []
     y = x
     exact = True
     for n in range(N + 1):
         if n:
             y = apply(op, y)
-        d = _max_norm([diff_seminorm(space, i, y, x) for i in seminorms])
+        d = _distance(y, x, seminorms)
         exact = exact and isinstance(d, (Fraction, ExactSqrt))
         vals.append(d)
         if isinstance(y, SparseVector) and not y.entries:
@@ -266,36 +280,41 @@ def _rowstate_profile(base: RowRotation, factor, stride: int, x: Vector,
     return DistanceProfile(out, N, exact=True)
 
 
+# -- eigenvalue powers -------------------------------------------------------
+
+def _polar_powers(mod: float, turns: float, m: np.ndarray):
+    """``(mod e^(2 pi i turns))^m`` as (radius, angle) for float exponents m.
+
+    The angle is reduced modulo one turn before it is scaled, so unimodular
+    powers never drift; the radius is clipped so that its square stays
+    finite (anything this large is out of any ball) and a zero modulus
+    gives a vanishing radius for m > 0.
+    """
+    angle = 2 * math.pi * np.mod(m * turns, 1.0)
+    if abs(mod - 1.0) < 1e-15:
+        return 1.0, angle
+    logs = np.clip(m * math.log(max(mod, 1e-300)), -745.0, 340.0)
+    return np.exp(logs), angle
+
+
 # -- diagonal closed form ----------------------------------------------------
 
 def _diagonal_profile(op: Diagonal, factor, stride: int, x: Vector,
                       seminorms: tuple[int, ...], N: int) -> Optional[DistanceProfile]:
     """l2 distance of a diagonal (optionally scaled) orbit, vectorized in n.
 
-    Coordinate j contributes |x_j|^2 |f^n lam_j^n - 1|^2; angles of each
-    power are reduced modulo one turn before exponentiation, so unimodular
-    rotations never drift.
+    Coordinate j contributes |x_j|^2 |f^n lam_j^n - 1|^2.
     """
     if not (_l2_like(op.space) and isinstance(x, SparseVector)):
         return None
     n = np.arange(0, N + 1, dtype=np.float64) * stride
+    f_c = to_complex(factor) if factor is not None else 1.0 + 0j
     total = np.zeros_like(n)
     for idx, v in x.entries:
-        lam = op.entry(idx)
-        lam_c = to_complex(lam)
-        f_c = to_complex(factor) if factor is not None else 1.0 + 0j
-        mod = abs(lam_c) * abs(f_c)
-        ang = (math.atan2(lam_c.imag, lam_c.real)
-               + math.atan2(f_c.imag, f_c.real)) / (2 * math.pi)
-        amp2 = float(vabs(v)) ** 2
-        theta = 2 * math.pi * np.mod(n * ang, 1.0)
-        if abs(mod - 1.0) < 1e-15:
-            total += amp2 * (2.0 - 2.0 * np.cos(theta))
-        else:
-            # clip so r*r stays finite; anything this large is out of any ball
-            logs = np.clip(n * math.log(mod), -745.0, 340.0)
-            r = np.exp(logs)
-            total += amp2 * (r * r - 2.0 * r * np.cos(theta) + 1.0)
+        lam_c = to_complex(op.entry(idx))
+        turns = (cmath.phase(lam_c) + cmath.phase(f_c)) / (2 * math.pi)
+        r, theta = _polar_powers(abs(lam_c) * abs(f_c), turns, n)
+        total += float(vabs(v)) ** 2 * (r * r - 2.0 * r * np.cos(theta) + 1.0)
     out = np.sqrt(np.maximum(total, 0.0))
     out[0] = 0.0
     return DistanceProfile(out, N, exact=False)
@@ -309,20 +328,13 @@ def _matrix_profile(base: Matrix, factor, stride: int, x: Vector,
     if mat.eigen_system is None:
         return None
     S, lam, Sinv, _ = mat.eigen_system
-    vec = x.to_dense(mat.n)
-    c = Sinv @ vec
+    c = Sinv @ x.to_dense(mat.n)
     n = np.arange(0, N + 1, dtype=np.float64) * stride
     mods = np.abs(lam)
     angs = np.angle(lam) / (2 * math.pi)
     powers = np.empty((len(n), mat.n), dtype=np.complex128)
     for j in range(mat.n):
-        theta = 2 * math.pi * np.mod(n * angs[j], 1.0)
-        if abs(mods[j] - 1.0) < 1e-15:
-            radial = 1.0
-        else:
-            # clipped so downstream squares stay finite
-            logs = np.clip(n * math.log(max(mods[j], 1e-300)), -745.0, 340.0)
-            radial = np.exp(logs)
+        radial, theta = _polar_powers(mods[j], angs[j], n)
         powers[:, j] = radial * np.exp(1j * theta)
     diffs = (powers - 1.0) * c[None, :]
     out = np.linalg.norm(diffs @ S.T, axis=1)
@@ -341,51 +353,29 @@ _FAST_PATHS = {
 
 # -- unimodular multiple of an exactly periodic base --------------------------
 
-def _scaled_periodic_base(base: Operator, factor, stride: int, x: Vector):
-    """Detect ``factor * T`` with T having an exact periodic state at x:
-    (the powered base, its period) or None."""
-    if factor is None or not isinstance(x, SparseVector):
-        return None
-    if not _l2_like(base.space):
-        return None
-    inner = Power(base, stride) if stride > 1 else base
-    p = exact_state_period(inner, x)
-    if p is None or p > 1 << 16:
-        return None
-    return inner, p
-
-
-def scaled_profile(base: Operator, factor, stride: int, period: int,
-                   x: SparseVector, seminorms: tuple[int, ...],
+def scaled_profile(states: Sequence[SparseVector], factor, stride: int,
                    N: int) -> DistanceProfile:
     """Distances for ``(factor T)^(stride n) x`` when the powered base orbit
-    ``T^(stride n) x`` cycles exactly.
+    ``T^(stride n) x`` cycles exactly through ``states`` (``states[0] = x``).
 
     With s_r the r-th state of the cycle, the squared distance at step n
     (r = n mod period, total scalar exponent m = stride n) is
 
         |f|^2m |s_r|^2 - 2 Re(f^m <s_r, x>) + |x|^2,
 
-    evaluated per residue class with exactly reduced angles.
+    evaluated per residue class.
     """
-    states = [x]
-    for _ in range(period - 1):
-        states.append(apply(base, states[-1]))
+    x = states[0]
+    period = len(states)
     f_c = to_complex(factor)
-    mod, ang = abs(f_c), math.atan2(f_c.imag, f_c.real) / (2 * math.pi)
     x2 = float(_norm2(x))
     out = np.empty(N + 1, dtype=np.float64)
     for r, s in enumerate(states):
         ms = np.arange(r, N + 1, period, dtype=np.float64) * stride
         inner = _inner(s, x)
-        s2 = float(_norm2(s))
-        theta = 2 * math.pi * np.mod(ms * ang, 1.0)
-        if abs(mod - 1.0) < 1e-15:
-            radial = np.ones_like(ms)
-        else:
-            radial = np.exp(np.clip(ms * math.log(max(mod, 1e-300)), -745.0, 340.0))
+        radial, theta = _polar_powers(abs(f_c), cmath.phase(f_c) / (2 * math.pi), ms)
         re = np.cos(theta) * inner.real - np.sin(theta) * inner.imag
-        d2 = radial * radial * s2 - 2.0 * radial * re + x2
+        d2 = radial * radial * float(_norm2(s)) - 2.0 * radial * re + x2
         out[r::period] = np.sqrt(np.maximum(d2, 0.0))
     out[0] = 0.0
     return DistanceProfile(out, N, exact=False)
@@ -464,25 +454,28 @@ def orbit_growth(op: Operator, x: Vector, seminorm_index: int = 0,
     return GrowthCurve(tuple(samples), tuple(records), growing, bound)
 
 
+def _orbit(op: Operator, x: Vector, N: int) -> tuple[list[Vector], np.ndarray]:
+    """Distinct orbit states and an index with ``T^n x == states[index[n]]``
+    for n <= N: one period when x cycles within the horizon, else N+1 steps."""
+    states = periodic_orbit(op, x, N + 1)
+    if states is not None:
+        return states, np.arange(N + 1) % len(states)
+    states = [x]
+    for _ in range(N):
+        states.append(apply(op, states[-1]))
+    return states, np.arange(N + 1)
+
+
 def orbit_norms(op: Operator, x: Vector, seminorm_index: int, N: int) -> np.ndarray:
     """Float norms of the whole orbit prefix (overflow saturates to inf)."""
-    space = x.space
-    period = exact_state_period(op, x)
-    steps = min(N, period - 1) if period is not None else N
-    out = np.empty(N + 1, dtype=np.float64)
-    y = x
-    for n in range(steps + 1):
-        if n:
-            y = apply(op, y)
+    states, index = _orbit(op, x, N)
+    norms = np.empty(len(states), dtype=np.float64)
+    for k, y in enumerate(states):
         try:
-            out[n] = float(seminorm(space, seminorm_index, y))
+            norms[k] = float(seminorm(x.space, seminorm_index, y))
         except OverflowError:
-            out[n] = math.inf
-    if period is not None and steps < N:
-        tiles = out[:period]
-        for n in range(steps + 1, N + 1):
-            out[n] = tiles[n % period]
-    return out
+            norms[k] = math.inf
+    return norms[index]
 
 
 @dataclass(frozen=True)
@@ -565,18 +558,11 @@ def totally_bounded_probe(op: Operator, x: Vector, N: int,
 def _materialized_orbit(op: Operator, x: Vector, N: int) -> np.ndarray:
     if not isinstance(x, SparseVector):
         raise ValueError("compactness probe needs materializable states")
-    states = [x]
-    y = x
-    period = exact_state_period(op, x)
-    steps = min(N, period - 1) if period is not None else N
-    for _ in range(steps):
-        y = apply(op, y)
-        states.append(y)
+    states, index = _orbit(op, x, N)
     support = sorted({i for s in states for i in s.support})
     pos = {i: k for k, i in enumerate(support)}
-    arr = np.zeros((N + 1, max(1, len(support))), dtype=np.complex128)
-    for n in range(N + 1):
-        s = states[n % period] if period is not None else states[n]
+    arr = np.zeros((len(states), max(1, len(support))), dtype=np.complex128)
+    for k, s in enumerate(states):
         for i, v in s.entries:
-            arr[n, pos[i]] = to_complex(v)
-    return arr
+            arr[k, pos[i]] = to_complex(v)
+    return arr[index]

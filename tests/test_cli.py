@@ -64,7 +64,7 @@ class TestOperatorLiterals:
         m = parse_operator("matrix([[0,-1],[1,0]])")
         assert isinstance(m, Matrix) and m.rows[0][1] == -1
         s = parse_operator("shift(weights=(n+1)/n, side=uni)")
-        assert isinstance(s, WeightedBackwardShift) and not s.bilateral
+        assert isinstance(s, WeightedBackwardShift)
         d = parse_operator("diag(rot(1/2^n))")
         assert isinstance(d, Diagonal) and d.turns is not None
         c = parse_operator("comp(a=rot(1/5), b=1, deg=6)")
@@ -73,7 +73,7 @@ class TestOperatorLiterals:
 
     def test_bad_literals(self):
         for text in ("noop", "matrix([1,2])", "matrix([[1,2],[3]])",
-                     "shift(side=uni)", "comp(a=1)"):
+                     "shift(side=uni)", "comp(a=1)", "shift(weights=2, side=bi)"):
             with pytest.raises(ConfigError):
                 parse_operator(text)
 
@@ -221,9 +221,12 @@ class TestRunner:
                         "operator = blockcycle\nvector = vec(sparse: 5:1)\n"
                         "factor = rot(n*(n-1))\nhorizon = 100\n"),
         SMALL_CONFIG.replace("horizon = 500\n", "horizon = 500\nseminorms = ,\n"),
+        SMALL_CONFIG + ("\n[suite huge-fs]\ncheck = translation-invariance\n"
+                        "window = fs(3, 1000000000000; 2)\n"
+                        "horizon = 1000000000000000\n"),
     ], ids=["suite-m", "horizon", "seed", "horizn", "seminorm", "output-dir",
             "check-kind", "seminorm-index", "radius-index", "coordinate-zero",
-            "degree-negative", "rot-mentions-n", "no-seminorm"])
+            "degree-negative", "rot-mentions-n", "no-seminorm", "fs-table"])
     def test_bad_field_exits_two_before_any_work(self, tmp_path, capsys, text):
         cfg = self.write(tmp_path, text)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -182,6 +182,8 @@ class TestFiniteSums:
             ip_generate((3, 3), 2, 10)
         with pytest.raises(ConfigurationError):
             ip_generate((1, 2), 0, 10)
+        with pytest.raises(ConfigurationError):    # 3 x (10^12 + 4) cells
+            ip_generate((3, 10 ** 12), 2, 10 ** 15)
 
 
 class TestDualFamilyProbe:

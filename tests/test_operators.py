@@ -106,11 +106,6 @@ class TestShift:
         assert apply(b, x).entries == power_apply(b, x, 1).entries \
             == ((2, Fraction(2)),)
 
-    def test_bilateral_keeps_everything(self):
-        b = WeightedBackwardShift(Rule("2"), bilateral=True)
-        x = SparseVector.from_pairs(L2, [(1, Fraction(1))])
-        assert apply(b, x).entries == ((0, Fraction(2)),)
-
     def test_power_weight_products(self):
         b = WeightedBackwardShift(Rule("(n+1)/n"))
         x = SparseVector.unit(L2, 7)

@@ -152,6 +152,10 @@ class TestProfiles:
             (rotation_matrix(2 * math.pi * 0.31), SparseVector.unit(FiniteDim(2), 1)),
             (Scaled(Diagonal(turns=Rule("1/7")), Phase(Fraction(1), math.sqrt(3))),
              SparseVector.unit(L2, 1)),
+            # a zero entry on the support: its powers vanish for n >= 1
+            (Diagonal(values=Rule("0")), SparseVector.unit(L2, 1)),
+            (Diagonal(values=Rule("n-1")),
+             SparseVector.from_pairs(L2, [(1, Fraction(1)), (2, Fraction(1))])),
         ]
         for op, x in cases:
             fast = distance_profile(op, x, (0,), 250)
@@ -224,6 +228,12 @@ class TestTotallyBounded:
         rows = cov.at(0.1)
         assert all(count == 5 for _, count in rows)
         assert cov.flat(0.1, slack=0)
+
+    def test_exactly_periodic_orbit_covering_five(self):
+        # an exact fifth-turn diagonal: the probe tiles one exact period
+        cov = totally_bounded_probe(Diagonal(turns=Rule("1/5")),
+                                    SparseVector.unit(L2, 1), 2000, [0.1])
+        assert cov.at(0.1) == ((500, 5), (1000, 5), (2000, 5))
 
     def test_irrational_circle_stable(self):
         th = 2 * math.pi * math.sqrt(2)
