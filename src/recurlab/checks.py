@@ -342,12 +342,19 @@ def shift_series_check(weights: Rule, support: IndexWindow,
     if not idx.size or idx[0] < 1:
         return _skip("shift-series", "support must lie in [1, H]", parts)
     top = int(idx[-1])
+    try:
+        w = weights.values(1, top)
+    except (ArithmeticError, ValueError):
+        w = None
+    if w is None or not w.all():
+        # walk n by n: a vanishing weight skips unless an error comes first
+        for nu in range(1, top + 1):
+            wv = weights(nu)
+            if wv == 0:
+                return _skip("shift-series", f"weight w_{nu} vanishes", parts)
+            math.log2(abs(float(wv)))       # a float underflow raises here
     log2w = np.zeros(top + 1)
-    for nu in range(1, top + 1):
-        w = weights(nu)
-        if w == 0:
-            return _skip("shift-series", f"weight w_{nu} vanishes", parts)
-        log2w[nu] = math.log2(abs(float(w)))
+    log2w[1:] = np.fromiter(map(math.log2, np.abs(w, out=w)), np.float64, top)
     cumlog = np.cumsum(log2w)
     terms = np.power(2.0, np.clip(-cumlog[idx], -1020, 1020))
     sums = np.cumsum(terms)

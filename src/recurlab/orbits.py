@@ -467,15 +467,27 @@ def _orbit(op: Operator, x: Vector, N: int) -> tuple[list[Vector], np.ndarray]:
 
 
 def orbit_norms(op: Operator, x: Vector, seminorm_index: int, N: int) -> np.ndarray:
-    """Float norms of the whole orbit prefix (overflow saturates to inf)."""
-    states, index = _orbit(op, x, N)
-    norms = np.empty(len(states), dtype=np.float64)
-    for k, y in enumerate(states):
+    """Float norms of the whole orbit prefix (overflow saturates to inf).
+
+    A periodic x tiles one period; otherwise the orbit is stepped with one
+    state held at a time."""
+    def norm(y: Vector) -> float:
         try:
-            norms[k] = float(seminorm(x.space, seminorm_index, y))
+            return float(seminorm(x.space, seminorm_index, y))
         except OverflowError:
-            norms[k] = math.inf
-    return norms[index]
+            return math.inf
+
+    period = periodic_orbit(op, x, N + 1)
+    if period is not None:
+        norms = np.array([norm(y) for y in period], dtype=np.float64)
+        return norms[np.arange(N + 1) % len(period)]
+    norms = np.empty(N + 1, dtype=np.float64)
+    y = x
+    for n in range(N + 1):
+        if n:
+            y = apply(op, y)
+        norms[n] = norm(y)
+    return norms
 
 
 @dataclass(frozen=True)

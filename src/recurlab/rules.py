@@ -13,6 +13,11 @@ right-associative with integer exponents)::
 Numbers are integers or decimal literals; both become exact Fractions.
 ``sqrt`` of a non-square deliberately degrades the result to float: that is
 how irrational rotation angles enter the system.
+
+A rule is evaluated by walking its syntax tree, one n at a time.
+``Rule.values`` evaluates a whole range at once: an integer-coefficient
+rational function of n runs as int64 numerator and denominator arrays,
+anything else through the per-n walk.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 Scalar = Union[Fraction, float]
 
@@ -133,7 +140,9 @@ def _eval(node, n: int) -> Scalar:
         return -_eval(node[1], n)
     if kind == "sqrt":
         v = _eval(node[1], n)
-        if isinstance(v, Fraction) and v >= 0:
+        if v < 0:
+            raise ValueError(f"square root of a negative number at n={n}")
+        if isinstance(v, Fraction):
             r = math.isqrt(v.numerator)
             s = math.isqrt(v.denominator)
             if r * r == v.numerator and s * s == v.denominator:
@@ -152,12 +161,17 @@ def _eval(node, n: int) -> Scalar:
             raise ZeroDivisionError(f"rule divides by zero at n={n}")
         return _combine(a, b, lambda x, y: x / y)
     if kind == "^":
+        if a == 0 and b < 0:
+            raise ZeroDivisionError(f"rule divides by zero at n={n}")
         if isinstance(b, Fraction) and b.denominator == 1:
             e = int(b)
             if isinstance(a, Fraction):
                 return a ** e
             return float(a) ** e
-        return float(a) ** float(b)
+        v = float(a) ** float(b)
+        if isinstance(v, complex):
+            raise ValueError(f"negative base to a fractional power at n={n}")
+        return v
     raise AssertionError(kind)
 
 
@@ -171,6 +185,66 @@ def _integer_valued(node) -> bool:
     return kind == "n"
 
 
+# Rule.values' exact path: numerator and denominator arrays below 2^53 are
+# exact in float64, so one division per n rounds as float(Fraction) does.
+_EXACT_BOUND = 1 << 53
+
+
+class _NotRational(Exception):
+    """The node is not an integer-coefficient rational function of n, or
+    its integers may reach 2^53."""
+
+
+def _int_exponent(node) -> int:
+    sign = 1
+    while node[0] == "neg":
+        node, sign = node[1], -sign
+    if node[0] != "const" or node[1].denominator != 1:
+        raise _NotRational
+    return sign * node[1].numerator
+
+
+def _ratio(node, n: np.ndarray, m: int, vanish: list):
+    """``(num, den, num_bound, den_bound)`` of the node over the indices n:
+    int64 arrays (or Python ints where constant) with magnitudes below the
+    bounds, which are Python ints computed from ``|n| <= m``.  Each divisor
+    appends its "is zero" mask to vanish."""
+    kind = node[0]
+    if kind == "const":
+        q = node[1]
+        out = q.numerator, q.denominator, abs(q.numerator), q.denominator
+    elif kind == "n":
+        out = n, 1, m, 1
+    elif kind == "neg":
+        a, b, ba, bb = _ratio(node[1], n, m, vanish)
+        out = -a, b, ba, bb
+    elif kind == "^":
+        k = _int_exponent(node[2])
+        a, b, ba, bb = _ratio(node[1], n, m, vanish)
+        if k < 0:
+            vanish.append(a == 0)
+            a, b, ba, bb, k = b, a, bb, ba, -k
+        if k >= 53:                 # a bound >= 2 reaches 2^53; skip the huge power
+            raise _NotRational
+        out = a ** k, b ** k, ba ** k, bb ** k
+    elif kind in ("+", "-", "*", "/"):
+        a, b, ba, bb = _ratio(node[1], n, m, vanish)
+        c, d, bc, bd = _ratio(node[2], n, m, vanish)
+        if kind == "*":
+            out = a * c, b * d, ba * bc, bb * bd
+        elif kind == "/":
+            vanish.append(c == 0)
+            out = a * d, b * c, ba * bd, bb * bc
+        else:
+            num = a * d + c * b if kind == "+" else a * d - c * b
+            out = num, b * d, ba * bd + bc * bb, bb * bd
+    else:
+        raise _NotRational          # sqrt
+    if out[2] >= _EXACT_BOUND or out[3] >= _EXACT_BOUND:
+        raise _NotRational
+    return out
+
+
 def _combine(a: Scalar, b: Scalar, op) -> Scalar:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return op(a, b)
@@ -178,7 +252,8 @@ def _combine(a: Scalar, b: Scalar, op) -> Scalar:
 
 
 class Rule:
-    """A compiled ``n -> scalar`` rule with its source text."""
+    """A parsed ``n -> scalar`` rule with its source text.  A call walks the
+    syntax tree for one n; ``values`` evaluates a range."""
 
     __slots__ = ("source", "_ast")
 
@@ -187,7 +262,35 @@ class Rule:
         self._ast = _Parser(_tokenize(self.source), self.source).parse()
 
     def __call__(self, n: int) -> Scalar:
-        return _eval(self._ast, n)
+        try:
+            return _eval(self._ast, n)
+        except ValueError as err:
+            raise ValueError(f"rule {self.source!r}: {err}") from None
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """``float(self(n))`` for n = lo..hi (inclusive) as one float64 array,
+        equal bit for bit, raising what the first failing n raises.
+
+        An integer-coefficient rational function of n (constants, n, ``+ -
+        * /`` and integer constant exponents) whose integers stay below 2^53
+        runs exactly in int64 arrays; any other rule is called once per n.
+        """
+        n = np.arange(lo, hi + 1, dtype=np.int64)
+        vanish: list = []
+        try:
+            num, den, _, _ = _ratio(self._ast, n, max(abs(lo), abs(hi)), vanish)
+        except _NotRational:
+            return np.fromiter((float(self(k)) for k in range(lo, hi + 1)),
+                               np.float64, len(n))
+        hit = np.zeros(len(n), dtype=bool)
+        for mask in vanish:
+            hit |= mask
+        if hit.any():
+            raise ZeroDivisionError(f"rule divides by zero at n={lo + int(np.argmax(hit))}")
+        out = np.empty(len(n))
+        np.divide(num, den, out=out)
+        out += 0.0          # 0 over a negative denominator is -0.0; float(Fraction(0)) is 0.0
+        return out
 
     @property
     def is_exact(self) -> bool:

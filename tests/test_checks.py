@@ -220,6 +220,19 @@ class TestShiftSeries:
             [1 << j for j in range(1, 9)], 400))
         assert out.passed and out.metrics["verdict"] == "converging"
 
+    def test_vanishing_weight_skips_before_a_later_division_by_zero(self):
+        support = IndexWindow.from_iterable(range(1, 11), 10)
+        out = shift_series_check(Rule("(n-3)/(n-5)"), support)
+        assert out.status == "skipped" and out.reason == "weight w_3 vanishes"
+        with pytest.raises(ZeroDivisionError, match="at n=3$"):
+            shift_series_check(Rule("(n-5)/(n-3)"), support)
+
+    def test_float_underflow_raises_before_a_later_vanishing_weight(self):
+        # w_n = 2^-1100 underflows at n = 1; w_3 = 0 comes later
+        support = IndexWindow.from_iterable(range(1, 6), 5)
+        with pytest.raises(ValueError, match="math domain error"):
+            shift_series_check(Rule("(n-3)/2^1100"), support)
+
 
 class TestCutShiftPaste:
     @pytest.mark.parametrize("family", ["infinite", "syndetic", "lower-density",

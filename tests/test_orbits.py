@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurlab import (BlockCycle, Diagonal, FiniteDim, Matrix, Phase, Power,
                       RowRotation, RowState, Rule, Scaled, SequenceLp,
@@ -144,6 +150,35 @@ class TestPowerIdentity:
         assert powered.window.elements == contract(base.window, 4).elements
 
 
+@st.composite
+def exact_cases(draw):
+    """Exact operators: block-cycle units, rational-turn diagonals and the
+    row rotation, with their seminorm indices."""
+    kind = draw(st.sampled_from(["block-cycle", "diagonal", "row-rotation"]))
+    if kind == "block-cycle":
+        return BlockCycle(), SparseVector.unit(L2, draw(st.integers(1, 63))), (0,)
+    if kind == "diagonal":
+        a, q = draw(st.integers(1, 12)), draw(st.integers(2, 40))
+        turns = draw(st.sampled_from([f"{a}*n/{q}", f"{a}/{q}"]))
+        pairs = draw(st.dictionaries(st.integers(1, 6),
+                                     st.fractions(-2, 2, max_denominator=3).filter(bool),
+                                     min_size=1, max_size=3))
+        return Diagonal(turns=Rule(turns)), SparseVector.from_pairs(L2, pairs.items()), (0,)
+    seminorms = draw(st.sets(st.integers(1, 4), min_size=1, max_size=2))
+    return RowRotation(), RowState(draw(st.integers(0, 100))), tuple(sorted(seminorms))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(exact_cases(), st.integers(2, 5),
+       st.fractions(Fraction(1, 100), 2, max_denominator=100),
+       st.integers(5, 600))
+def test_power_window_is_contracted_window(case, p, eps, horizon):
+    op, x, seminorms = case
+    base = return_set(op, x, eps, seminorms, horizon)
+    powered = return_set(Power(op, p), x, eps, seminorms, horizon // p)
+    assert powered.window == contract(base.window, p)
+
+
 class TestProfiles:
     def test_closed_forms_match_stepwise(self):
         cases = [
@@ -212,6 +247,31 @@ class TestPowerBounded:
             Matrix.from_array([[1, 1], [0, 1]]),
             [SparseVector.from_pairs(FiniteDim(2), [(2, Fraction(1))])], 10_000)
         assert not out.equibounded
+
+    def test_orbit_norms_hold_one_state_at_a_time(self):
+        # a non-periodic orbit of 2 * 10^5 steps: holding every state raised
+        # the peak by 57-73 MiB, stepping with one state by about 2 MiB
+        child = (
+            "import resource\n"
+            "from fractions import Fraction\n"
+            "from recurlab import FiniteDim, Matrix, SparseVector\n"
+            "from recurlab.orbits import orbit_norms\n"
+            "op = Matrix.from_array([[1, 1], [0, 1]])\n"
+            "x = SparseVector.from_pairs(FiniteDim(2), [(2, Fraction(1))])\n"
+            "orbit_norms(op, x, 0, 10)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "norms = orbit_norms(op, x, 0, 200_000)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert norms.shape == (200_001,) and norms[-1] > 2e5\n"
+            "print((after - before) / 1024)\n")
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) <= 20.0, f"peak RSS grew by {done.stdout} MiB"
 
     def test_blockcycle_intra_block_blowup(self):
         out = power_bounded_probe(
