@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -30,7 +31,7 @@ from .operators import (Diagonal, Matrix, NumericalFailure, Operator, Power,
                         state_exact_eq)
 from .orbits import growth_schedule, periodic_orbit, return_sets
 from .rules import Rule
-from .values import Phase, to_complex, vabs
+from .values import Phase, log2_abs, to_complex, vabs
 
 __all__ = [
     "CheckOutcome", "kronecker_return_check", "matrix_criterion_check",
@@ -325,10 +326,26 @@ def scaling_consistency_check(op: Operator, x: Vector, factor,
 # weighted shift series
 # ---------------------------------------------------------------------------
 
+_FLOAT_MIN = sys.float_info.min        # the least normal float
+
+
+def _log2_weight(w) -> float:
+    """``log2 |w|``: ``math.log2`` of the float weight while that is a
+    normal float, else ``log2_abs`` of the exact weight."""
+    try:
+        f = abs(float(w))
+    except OverflowError:
+        return log2_abs(w)
+    return math.log2(f) if _FLOAT_MIN <= f < math.inf else log2_abs(w)
+
+
 def shift_series_check(weights: Rule, support: IndexWindow,
                        divergence_threshold: float = 10.0,
                        tail_tol: float = 1e-9) -> CheckOutcome:
     """Dichotomy of ``sum over A of 1/(w_1 ... w_n)`` in log-safe arithmetic.
+
+    A weight outside the normal float range enters through the log2 of its
+    exact value, and the terms are capped so that no partial sum overflows.
 
     Diverging: partial sums cross the threshold inside the horizon.
     Converging: the last-half increment is below the tail tolerance; then the
@@ -346,17 +363,20 @@ def shift_series_check(weights: Rule, support: IndexWindow,
         w = weights.values(1, top)
     except (ArithmeticError, ValueError):
         w = None
-    if w is None or not w.all():
+    log2w = np.zeros(top + 1)
+    if w is not None and np.all((np.abs(w, out=w) >= _FLOAT_MIN) & (w < math.inf)):
+        log2w[1:] = np.fromiter(map(math.log2, w), np.float64, top)
+    else:
         # walk n by n: a vanishing weight skips unless an error comes first
         for nu in range(1, top + 1):
             wv = weights(nu)
             if wv == 0:
                 return _skip("shift-series", f"weight w_{nu} vanishes", parts)
-            math.log2(abs(float(wv)))       # a float underflow raises here
-    log2w = np.zeros(top + 1)
-    log2w[1:] = np.fromiter(map(math.log2, np.abs(w, out=w)), np.float64, top)
+            log2w[nu] = _log2_weight(wv)
     cumlog = np.cumsum(log2w)
-    terms = np.power(2.0, np.clip(-cumlog[idx], -1020, 1020))
+    # no term above 2^cap: the partial sums of the terms stay finite
+    cap = 1020 - len(idx).bit_length()
+    terms = np.power(2.0, np.clip(-cumlog[idx], -1020, cap))
     sums = np.cumsum(terms)
     crossing = None
     over = np.nonzero(sums > divergence_threshold)[0]

@@ -418,11 +418,21 @@ class Diagonal(Operator):
         if (self.turns is None) == (self.values is None):
             raise ValueError("set exactly one of turns/values")
 
+    @cached_property
+    def _entries(self) -> dict:
+        """The entries computed so far, by index: each rule is walked once
+        per index, however often the operator is applied."""
+        return {}
+
     def entry(self, index: int) -> Value:
-        if self.turns is not None:
-            return Phase(Fraction(1), self.turns(index))
-        v = self.values(index)
-        return v if isinstance(v, Fraction) else float(v)
+        cache = self._entries
+        if index not in cache:
+            if self.turns is not None:
+                cache[index] = Phase(Fraction(1), self.turns(index))
+            else:
+                v = self.values(index)
+                cache[index] = v if isinstance(v, Fraction) else float(v)
+        return cache[index]
 
     def apply(self, x):
         return SparseVector.from_pairs(

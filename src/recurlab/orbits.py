@@ -9,7 +9,13 @@ the cheapest sound strategy:
   evaluated over one period and tiled, so the cost is O(period) not O(N);
 * rotation-type operators (diagonals, unimodular multiples of a periodic
   base, diagonalizable matrices) get vectorized closed forms in which the
-  angle of every eigenvalue power is reduced exactly, never iterated;
+  angle of every eigenvalue power is reduced exactly, never iterated; each
+  fills its one float64 output in blocks of ``_CHUNK`` indices n, so its
+  temporaries stay bounded whatever the horizon;
+* a float matrix without a usable eigen system (a Jordan block) is stepped
+  densely: ``A @ y`` on raw complex arrays, exactly as ``Matrix.apply``
+  steps, with the distances of each block of states taken in one vector
+  step, bit for bit what stepwise application gives;
 * the distinguished row-rotation orbit is evaluated blockwise in closed
   form (its profile values are dyadic rationals, exact in float64);
 * everything else falls back to stepwise application, which stays exact for
@@ -18,6 +24,8 @@ the cheapest sound strategy:
 
 The states of an exactly periodic orbit come from ``periodic_orbit`` alone,
 and every eigenvalue power of a closed form from ``_polar_powers`` alone.
+The greedy net of ``totally_bounded_probe`` keeps its centres in one array
+and measures each orbit point against all of them in one vector step.
 
 ``return_sets`` cuts the windows of a whole epsilon grid from one profile, so
 they are nested in epsilon by construction.
@@ -52,6 +60,7 @@ __all__ = [
 ]
 
 _PERIOD_CAP = 1 << 22
+_CHUNK = 1 << 14            # indices n per block of a closed-form or dense profile
 
 
 @dataclass(frozen=True)
@@ -307,17 +316,27 @@ def _diagonal_profile(op: Diagonal, factor, stride: int, x: Vector,
     """
     if not (_l2_like(op.space) and isinstance(x, SparseVector)):
         return None
-    n = np.arange(0, N + 1, dtype=np.float64) * stride
     f_c = to_complex(factor) if factor is not None else 1.0 + 0j
-    total = np.zeros_like(n)
+    coords = []
     for idx, v in x.entries:
         lam_c = to_complex(op.entry(idx))
         turns = (cmath.phase(lam_c) + cmath.phase(f_c)) / (2 * math.pi)
-        r, theta = _polar_powers(abs(lam_c) * abs(f_c), turns, n)
-        total += float(vabs(v)) ** 2 * (r * r - 2.0 * r * np.cos(theta) + 1.0)
-    out = np.sqrt(np.maximum(total, 0.0))
+        coords.append((float(vabs(v)) ** 2, abs(lam_c) * abs(f_c), turns))
+    out = np.empty(N + 1, dtype=np.float64)
+    for lo, hi in _blocks(N):
+        n = np.arange(lo, hi, dtype=np.float64) * stride
+        total = np.zeros_like(n)
+        for weight, mod, turns in coords:
+            r, theta = _polar_powers(mod, turns, n)
+            total += weight * (r * r - 2.0 * r * np.cos(theta) + 1.0)
+        out[lo:hi] = np.sqrt(np.maximum(total, 0.0))
     out[0] = 0.0
     return DistanceProfile(out, N, exact=False)
+
+
+def _blocks(N: int):
+    """``(lo, hi)`` bounds of consecutive blocks of ``_CHUNK`` indices covering 0..N."""
+    return ((lo, min(lo + _CHUNK, N + 1)) for lo in range(0, N + 1, _CHUNK))
 
 
 # -- matrix closed form ------------------------------------------------------
@@ -326,19 +345,69 @@ def _matrix_profile(base: Matrix, factor, stride: int, x: Vector,
                     seminorms: tuple[int, ...], N: int) -> Optional[DistanceProfile]:
     mat = base if factor is None else Matrix.from_array(to_complex(factor) * base.array)
     if mat.eigen_system is None:
-        return None
+        return None if factor is not None else _stepped_matrix_profile(
+            mat, stride, x, seminorms, N)
     S, lam, Sinv, _ = mat.eigen_system
     c = Sinv @ x.to_dense(mat.n)
-    n = np.arange(0, N + 1, dtype=np.float64) * stride
     mods = np.abs(lam)
     angs = np.angle(lam) / (2 * math.pi)
-    powers = np.empty((len(n), mat.n), dtype=np.complex128)
-    for j in range(mat.n):
-        radial, theta = _polar_powers(mods[j], angs[j], n)
-        powers[:, j] = radial * np.exp(1j * theta)
-    diffs = (powers - 1.0) * c[None, :]
-    out = np.linalg.norm(diffs @ S.T, axis=1)
+    out = np.empty(N + 1, dtype=np.float64)
+    for lo, hi in _blocks(N):
+        n = np.arange(lo, hi, dtype=np.float64) * stride
+        powers = np.empty((len(n), mat.n), dtype=np.complex128)
+        for j in range(mat.n):
+            radial, theta = _polar_powers(mods[j], angs[j], n)
+            powers[:, j] = radial * np.exp(1j * theta)
+        diffs = (powers - 1.0) * c[None, :]
+        out[lo:hi] = np.linalg.norm(diffs @ S.T, axis=1)
     out[0] = 0.0
+    return DistanceProfile(out, N, exact=False)
+
+
+def _stepped_matrix_profile(mat: Matrix, stride: int, x: Vector,
+                            seminorms: tuple[int, ...], N: int) -> Optional[DistanceProfile]:
+    """The stepwise profile of a matrix with no eigen system, on raw arrays.
+
+    Each step is the ``A @ y`` of ``Matrix.apply`` (``stride`` of them per
+    step of a power), with exact zeros reset to +0j as ``from_pairs`` and
+    ``to_dense`` reset them.  Per block of states, the squared coordinate
+    differences are folded in coordinate order, as ``_exact_or_float`` folds
+    them, so every value is the float ``_stepwise_profile`` gives.  A state
+    with a zero coordinate is measured by ``_distance`` (its exact terms are
+    folded last), and so is x itself.  None -- stepwise iteration, with its
+    zero-state stop and its exactness -- when the orbit reaches the zero
+    vector or there is no step to take.
+    """
+    if not (isinstance(x, SparseVector) and _l2_like(x.space)) or N < 1:
+        return None
+    a = mat.array
+    x_dense = x.to_dense(mat.n)
+    out = np.empty(N + 1, dtype=np.float64)
+    out[0] = float(_distance(x, x, seminorms))
+    states = np.empty((min(_CHUNK, N), mat.n), dtype=np.complex128)
+    y = x_dense
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _blocks(N - 1):
+            block = states[:hi - lo]
+            for k in range(hi - lo):
+                for _ in range(stride):
+                    y = a @ y
+                    if not y.all():
+                        y[y == 0] = 0
+                block[k] = y
+            zeros = block == 0
+            if zeros.all(axis=1).any():
+                return None
+            d = block - x_dense
+            sq = d.real * d.real + d.imag * d.imag
+            total = sq[:, 0]
+            for j in range(1, mat.n):
+                total = total + sq[:, j]
+            out[lo + 1:hi + 1] = np.sqrt(total)
+            for k in np.flatnonzero(zeros.any(axis=1)).tolist():
+                state = SparseVector.from_pairs(
+                    x.space, ((i + 1, complex(v)) for i, v in enumerate(block[k])))
+                out[lo + 1 + k] = float(_distance(state, x, seminorms))
     return DistanceProfile(out, N, exact=False)
 
 
@@ -363,20 +432,24 @@ def scaled_profile(states: Sequence[SparseVector], factor, stride: int,
 
         |f|^2m |s_r|^2 - 2 Re(f^m <s_r, x>) + |x|^2,
 
-    evaluated per residue class.
+    evaluated per residue class, ``_CHUNK`` indices at a time.
     """
     x = states[0]
     period = len(states)
     f_c = to_complex(factor)
+    mod, turns = abs(f_c), cmath.phase(f_c) / (2 * math.pi)
     x2 = float(_norm2(x))
     out = np.empty(N + 1, dtype=np.float64)
+    span = period * _CHUNK          # one block of a residue class: _CHUNK indices
     for r, s in enumerate(states):
-        ms = np.arange(r, N + 1, period, dtype=np.float64) * stride
-        inner = _inner(s, x)
-        radial, theta = _polar_powers(abs(f_c), cmath.phase(f_c) / (2 * math.pi), ms)
-        re = np.cos(theta) * inner.real - np.sin(theta) * inner.imag
-        d2 = radial * radial * float(_norm2(s)) - 2.0 * radial * re + x2
-        out[r::period] = np.sqrt(np.maximum(d2, 0.0))
+        inner, s2 = _inner(s, x), float(_norm2(s))
+        for lo in range(r, N + 1, span):
+            hi = min(lo + span, N + 1)
+            ms = np.arange(lo, hi, period, dtype=np.float64) * stride
+            radial, theta = _polar_powers(mod, turns, ms)
+            re = np.cos(theta) * inner.real - np.sin(theta) * inner.imag
+            d2 = radial * radial * s2 - 2.0 * radial * re + x2
+            out[lo:hi:period] = np.sqrt(np.maximum(d2, 0.0))
     out[0] = 0.0
     return DistanceProfile(out, N, exact=False)
 
@@ -548,23 +621,47 @@ def totally_bounded_probe(op: Operator, x: Vector, N: int,
     """Greedy epsilon-net sizes of the orbit prefix, at N//4, N//2 and N."""
     pts = _materialized_orbit(op, x, N)
     marks = sorted({max(1, N // 4), max(1, N // 2), N})
+    centers = np.empty_like(pts)
     out = []
     for eps in eps_grid:
-        centers: list[np.ndarray] = []
+        k = 0
         rows = []
         mark_iter = iter(marks)
         next_mark = next(mark_iter)
         for n in range(N + 1):
             p = pts[n]
-            if not centers or min(float(np.linalg.norm(p - c)) for c in centers) > eps:
-                centers.append(p)
+            if not k or _opens_center(p, centers[:k], eps):
+                centers[k] = p
+                k += 1
             while next_mark is not None and n == next_mark:
-                rows.append((n, len(centers)))
+                rows.append((n, k))
                 next_mark = next(mark_iter, None)
         if not rows or rows[-1][0] != N:
-            rows.append((N, len(centers)))
+            rows.append((N, k))
         out.append((float(eps), tuple(rows)))
     return CoveringReport(tuple(out))
+
+
+# an l2 distance summed in another order than np.linalg.norm sums it is off
+# by a few units in the last place; this relative band (plus an absolute one
+# for squares below the normal floats) holds every such discrepancy
+_NET_SLACK = 1e-12
+_NET_FLOOR = 1e-150
+
+
+def _opens_center(p: np.ndarray, centers: np.ndarray, eps) -> bool:
+    """``min(norm(p - c) for c in centers) > eps``, decided as that loop
+    decides it, NaNs included: the distances to all centers come from one
+    vector step, and only those within rounding of eps are measured again
+    by ``np.linalg.norm`` itself."""
+    diff = centers - p
+    dist = np.sqrt((diff.real * diff.real + diff.imag * diff.imag).sum(axis=1))
+    if np.isnan(dist[0]):           # min() keeps a leading NaN, which is never > eps
+        return False
+    close = np.abs(dist - eps) <= _NET_SLACK * eps + _NET_FLOOR
+    if (dist[~close] <= eps).any():  # min() passes over any later NaN
+        return False
+    return all(float(np.linalg.norm(p - c)) > eps for c in centers[close])
 
 
 def _materialized_orbit(op: Operator, x: Vector, N: int) -> np.ndarray:

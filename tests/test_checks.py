@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -227,11 +228,46 @@ class TestShiftSeries:
         with pytest.raises(ZeroDivisionError, match="at n=3$"):
             shift_series_check(Rule("(n-5)/(n-3)"), support)
 
-    def test_float_underflow_raises_before_a_later_vanishing_weight(self):
-        # w_n = 2^-1100 underflows at n = 1; w_3 = 0 comes later
+    def test_vanishing_weight_skips_after_a_float_underflow(self):
+        # w_1 = -2^-1099 underflows to -0.0 in floats; w_3 = 0 vanishes exactly
         support = IndexWindow.from_iterable(range(1, 6), 5)
-        with pytest.raises(ValueError, match="math domain error"):
-            shift_series_check(Rule("(n-3)/2^1100"), support)
+        out = shift_series_check(Rule("(n-3)/2^1100"), support)
+        assert out.status == "skipped" and out.reason == "weight w_3 vanishes"
+
+
+SERIES_SUPPORT = IndexWindow.from_iterable(range(1, 1101), 1100)
+
+
+def series_without_warnings(rule: str):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = shift_series_check(Rule(rule), SERIES_SUPPORT)
+    assert not caught, [str(w.message) for w in caught]
+    return out
+
+
+class TestShiftSeriesOutsideFloatRange:
+    """Weights and terms beyond float range are taken through exact log2."""
+
+    def test_underflowing_weights_diverge(self):
+        # w_n = 2^-n is 0.0 in floats from n = 1075 on
+        out = series_without_warnings("1/2^n")
+        assert out.passed and out.metrics["verdict"] == "diverging"
+        assert out.metrics["crossing_n"] == 3          # 2 + 8 + 64 > 10
+        assert math.isfinite(out.metrics["partial_sum"])
+
+    def test_overflowing_weights_converge(self):
+        # w_n = 2^n leaves float range at n = 1024
+        out = series_without_warnings("2^n")
+        assert out.passed and out.metrics["verdict"] == "converging"
+        assert out.metrics["fixed_point_residual"] <= out.metrics["certified_tail"]
+
+    def test_terms_past_float_range_keep_finite_sums(self):
+        # 1/(w_1 ... w_n) = 2^n: 1100 terms up to 2^1020 used to overflow the sum
+        out = series_without_warnings("1/2")
+        assert out.passed and out.metrics["verdict"] == "diverging"
+        assert out.metrics["crossing_n"] == 3          # 2 + 4 + 8 > 10
+        assert math.isfinite(out.metrics["partial_sum"])
 
 
 class TestCutShiftPaste:

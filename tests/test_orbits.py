@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from recurlab import (BlockCycle, Diagonal, FiniteDim, Matrix, Phase, Power,
                       totally_bounded_probe)
 from recurlab.cli import execute_experiment
 from recurlab.config import parse_config
-from recurlab.orbits import _stepwise_profile, distance_profile
+from recurlab.orbits import _stepwise_profile, distance_profile, orbit_norms
 
 from conftest import rotation_matrix
 
@@ -199,6 +200,22 @@ class TestProfiles:
                         for n in range(251))
             assert worst < 1e-9, type(op).__name__
 
+    def test_matrix_profile_fills_blocks(self):
+        # return windows of 10^6 steps on a unimodular 2x2 matrix: N x 2 complex
+        # temporaries raised the peak by 153 MiB, blocks of n by about 13 MiB
+        grown = peak_growth_mib(
+            "from fractions import Fraction\n"
+            "import numpy as np\n"
+            "from recurlab import FiniteDim, Matrix, SparseVector, return_sets\n"
+            "S = np.array([[3, 1], [-1, 2]])\n"
+            "D = np.diag(np.exp(2j * np.pi * np.array([0.3, 0.71])))\n"
+            "op = Matrix.from_array(S @ D @ np.linalg.inv(S))\n"
+            "x = SparseVector.unit(FiniteDim(2), 1)\n"
+            "return_sets(op, x, [Fraction(1, 2)], (0,), 10)\n",
+            "recs = return_sets(op, x, [Fraction(1, 2), Fraction(1, 5)], (0,), 10 ** 6)\n"
+            "assert recs[0].window.count > recs[1].window.count > 1\n")
+        assert grown <= 40.0, f"peak RSS grew by {grown} MiB"
+
     def test_periodic_profile_tiles(self):
         prof = distance_profile(BlockCycle(), SparseVector.unit(L2, 9), (0,), 64)
         assert prof.period == 8
@@ -235,6 +252,37 @@ class TestGrowth:
         assert not g.growing
 
 
+# the peak resident memory of the child's own image: a child started by
+# vfork and exec inherits its parent's peak into ru_maxrss, which would hide
+# the child's peak behind the test runner's
+_PEAK_MIB = (
+    "def peak_mib():\n"
+    "    try:\n"
+    "        with open('/proc/self/status') as status:\n"
+    "            for line in status:\n"
+    "                if line.startswith('VmHWM:'):\n"
+    "                    return int(line.split()[1]) / 1024\n"
+    "    except OSError:\n"
+    "        pass\n"
+    "    import resource\n"
+    "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n")
+
+
+def peak_growth_mib(setup: str, work: str) -> float:
+    """How far ``work`` raises the peak resident memory (MiB) of a fresh
+    single-threaded interpreter that has run ``setup``."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    code = (_PEAK_MIB + setup + "before = peak_mib()\n" + work
+            + "print(peak_mib() - before)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return float(done.stdout)
+
+
 class TestPowerBounded:
     def test_unimodular_diagonal_equibounded(self):
         d = Diagonal(turns=Rule("1/2^n"))
@@ -251,27 +299,36 @@ class TestPowerBounded:
     def test_orbit_norms_hold_one_state_at_a_time(self):
         # a non-periodic orbit of 2 * 10^5 steps: holding every state raised
         # the peak by 57-73 MiB, stepping with one state by about 2 MiB
-        child = (
-            "import resource\n"
+        grown = peak_growth_mib(
             "from fractions import Fraction\n"
             "from recurlab import FiniteDim, Matrix, SparseVector\n"
             "from recurlab.orbits import orbit_norms\n"
             "op = Matrix.from_array([[1, 1], [0, 1]])\n"
             "x = SparseVector.from_pairs(FiniteDim(2), [(2, Fraction(1))])\n"
-            "orbit_norms(op, x, 0, 10)\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "orbit_norms(op, x, 0, 10)\n",
             "norms = orbit_norms(op, x, 0, 200_000)\n"
-            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "assert norms.shape == (200_001,) and norms[-1] > 2e5\n"
-            "print((after - before) / 1024)\n")
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-c", child], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert float(done.stdout) <= 20.0, f"peak RSS grew by {done.stdout} MiB"
+            "assert norms.shape == (200_001,) and norms[-1] > 2e5\n")
+        assert grown <= 20.0, f"peak RSS grew by {grown} MiB"
+
+    def test_diagonal_walks_each_rule_once_per_index(self):
+        rule = Rule("sqrt(2)*n")
+        op = Diagonal(turns=rule)
+        x = SparseVector.from_pairs(L2, [(1, Fraction(1)), (3, Fraction(1, 2)),
+                                         (4, Fraction(-2))])
+        walked = []
+        call = Rule.__call__
+
+        def spy(self, n):
+            walked.append(n)
+            return call(self, n)
+
+        with mock.patch.object(Rule, "__call__", spy):
+            norms = orbit_norms(op, x, 0, 2000)
+        assert sorted(walked) == [1, 3, 4]
+        assert norms.shape == (2001,)
+        assert op._entries == {i: Phase(Fraction(1), rule(i)) for i in (1, 3, 4)}
+        fresh = Diagonal(turns=Rule("sqrt(2)*n"))
+        assert op == fresh and repr(op) == repr(fresh) and hash(op) == hash(fresh)
 
     def test_blockcycle_intra_block_blowup(self):
         out = power_bounded_probe(
@@ -315,3 +372,52 @@ class TestTotallyBounded:
             2000, [0.5])
         rows = cov.at(0.5)
         assert rows[-1][1] > 2 * rows[0][1]
+
+    @staticmethod
+    def loop_net_counts(op, x, N, eps_grid):
+        """The greedy net with one np.linalg.norm per (point, center) pair."""
+        pts = orbits._materialized_orbit(op, x, N)
+        marks = sorted({max(1, N // 4), max(1, N // 2), N})
+        out = []
+        for eps in eps_grid:
+            centers, rows = [], []
+            for n in range(N + 1):
+                p = pts[n]
+                if not centers or min(float(np.linalg.norm(p - c))
+                                      for c in centers) > eps:
+                    centers.append(p)
+                if n in marks:
+                    rows.append((n, len(centers)))
+            out.append((float(eps), tuple(rows)))
+        return tuple(out)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_vector_net_equals_per_center_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        q = int(rng.integers(3, 13))
+        cases = [
+            (rotation_matrix(2 * math.pi * rng.random()),
+             SparseVector.unit(FiniteDim(2), 1), 250),
+            (rotation_matrix(2 * math.pi * int(rng.integers(1, q)) / q),
+             SparseVector.unit(FiniteDim(2), 1), 200),
+            (Matrix.from_array(np.eye(2) * complex(rng.choice([1, -1, 1j]))
+                               + np.eye(2, k=1)),
+             SparseVector.from_pairs(FiniteDim(2), [(2, Fraction(int(rng.integers(1, 8)), 4))]),
+             120),
+            (Diagonal(turns=Rule(f"{int(rng.integers(1, q))}*n/{q}")),
+             SparseVector.from_pairs(L2, [(1, Fraction(1)), (2, Fraction(1, 2)),
+                                          (3, Fraction(-1, 3))]), 200),
+        ]
+        for op, x, N in cases:
+            pts = orbits._materialized_orbit(op, x, N)
+            # radii equal to the orbit's own distances from its first point put
+            # decisions on the boundary; favour those that a coordinatewise
+            # sum of squares rounds differently from np.linalg.norm
+            exact = np.array([np.linalg.norm(p - pts[0]) for p in pts])
+            diff = pts - pts[0]
+            summed = np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=1))
+            apart = np.flatnonzero(summed != exact)
+            picks = [*apart[:3], *rng.integers(1, N + 1, size=2)]
+            eps_grid = [float(rng.uniform(0.05, 1.5)), 0.0, *exact[picks].tolist()]
+            cov = totally_bounded_probe(op, x, N, eps_grid)
+            assert cov.counts == self.loop_net_counts(op, x, N, eps_grid), op

@@ -3,7 +3,8 @@
 Every strategy ``distance_profile`` can pick (periodic tiling, the
 row-pattern, diagonal and matrix closed forms, the scaled-periodic form)
 must agree value by value with stepwise iteration: exactly where both sides
-are exact, within a relative 1e-9 otherwise.  Stepwise iteration, which
+are exact, within a relative 1e-9 otherwise.  Dense stepping of a matrix
+without an eigen system must agree with it bit for bit.  Stepwise iteration, which
 stops once an orbit reaches 0, must equal a plain loop of one
 ``apply`` per step exactly.  Windows cut from one profile must grow with
 epsilon, and ``return_sets`` over a grid must equal one ``return_set`` per
@@ -15,6 +16,8 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,6 +174,81 @@ def test_matrix_closed_form_matches_stepwise(case):
 @given(scaled_periodic_cases())
 def test_scaled_periodic_matches_stepwise(case):
     check_against_stepwise(*case, (0,), "scaled_profile")
+
+
+def jordan_block(lam, dim: int) -> Matrix:
+    return Matrix.from_array(np.eye(dim) * lam + np.eye(dim, k=1))
+
+
+def check_dense_against_stepwise(op, x, N, falls_back=False):
+    """Dense stepping equals stepwise iteration bit for bit (NaN equal to
+    NaN), with the same exactness; it hands a nilpotent orbit over."""
+    with mock.patch.object(orbits, "_stepwise_profile",
+                           wraps=orbits._stepwise_profile) as stepwise:
+        fast = distance_profile(op, x, (0,), N)
+    assert stepwise.call_count == int(falls_back)
+    slow = _stepwise_profile(op, x, (0,), N)
+    a = np.array([float(v) for v in fast.values])
+    b = np.array([float(v) for v in slow.values])
+    assert a.shape == b.shape == (N + 1,)
+    nan = np.isnan(a)
+    assert (nan == np.isnan(b)).all()
+    assert (a.view(np.int64)[~nan] == b.view(np.int64)[~nan]).all()
+    assert (fast.exact, fast.period) == (slow.exact, slow.period)
+    return a
+
+
+@st.composite
+def defective_cases(draw):
+    """Jordan blocks (no eigen system) and their powers, on vectors that may
+    have zero coordinates."""
+    dim = draw(st.integers(2, 3))
+    op = jordan_block(draw(st.sampled_from([1, -1, 1.5, 0.5, 1j])), dim)
+    p = draw(st.integers(1, 3))
+    return (op if p == 1 else Power(op, p)), draw(sparse(FiniteDim(dim), dim))
+
+
+@PROPERTY
+@given(defective_cases(), st.integers(1, 200))
+def test_dense_matrix_stepping_matches_stepwise(case, horizon):
+    check_dense_against_stepwise(*case, horizon)
+
+
+@pytest.mark.parametrize("lam, p, horizon, falls_back", [
+    (1.5, 1, 2000, False), (1.5, 3, 666, False), (0.5, 1, 1080, False),
+    (0.5, 1, 2000, True)])
+def test_dense_matrix_stepping_past_float_range(lam, p, horizon, falls_back):
+    # 1.5^n overflows near n = 1750, so the last states hold inf and NaN;
+    # 0.5^n underflows the second coordinate to 0 at n = 1075 and the first
+    # one some steps later, where the orbit reaches the zero vector
+    x = SparseVector.from_pairs(FiniteDim(2), [(1, Fraction(1, 3)), (2, Fraction(1))])
+    op = jordan_block(lam, 2)
+    vals = check_dense_against_stepwise(op if p == 1 else Power(op, p), x, horizon,
+                                        falls_back)
+    assert not np.isfinite(vals[-1]) if lam > 1 else vals[-1] > 0
+
+
+def test_dense_matrix_stepping_folds_exact_terms_last():
+    # the first coordinate underflows to 0 some steps before the second one:
+    # in between p(T^n x - x)^2 adds the exact (3/7)^2 after the float term,
+    # which rounds differently from (0 - 3/7)^2 in floats added first
+    op = Matrix.from_array(np.eye(2) * 0.5 + np.eye(2, k=-1))
+    x = SparseVector.from_pairs(FiniteDim(2), [(1, Fraction(3, 7)), (2, Fraction(1, 9))])
+    check_dense_against_stepwise(op, x, 1084)
+    check_dense_against_stepwise(op, x, 1085, falls_back=True)
+
+
+def test_dense_matrix_stepping_hands_a_nilpotent_orbit_over():
+    op = Matrix.from_array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    x = SparseVector.from_pairs(FiniteDim(3), [(2, Fraction(1)), (3, Fraction(-2))])
+    check_dense_against_stepwise(op, x, 50, falls_back=True)
+
+
+def test_dense_matrix_stepping_measures_zero_coordinates_exactly():
+    # the state stays (1, 0): every row has a zero coordinate
+    op = jordan_block(1, 2)
+    vals = check_dense_against_stepwise(op, SparseVector.unit(FiniteDim(2), 1), 40)
+    assert not vals.any()
 
 
 @st.composite
