@@ -24,7 +24,8 @@ Every operator here has an exact, finitely representable action:
 
 ``Scaled`` (a unimodular multiple of a base operator) and ``Power`` (p-fold
 application per step) wrap any of the above.  Each class implements the
-``Operator`` protocol: its own action, powers, period bound and description.
+``Operator`` protocol: its own action, powers, period bound, exact
+fixed-point test for powers and description.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -267,12 +268,14 @@ Vector = Union[SparseVector, RowState, FiniteRowVector]
 class Operator:
     """The operator protocol.
 
-    Every operator has a ``space`` and four methods:
+    Every operator has a ``space`` and five methods:
 
     * ``apply(x)`` -- one exact application;
     * ``power(x, n)`` -- ``T^n x`` for n >= 1, in closed form where one exists;
-    * ``period_bound(x)`` -- an n with ``T^n x = x`` when one is symbolically
-      available, else None (the default here);
+    * ``period_bound(x)`` -- an n with ``T^n x = x`` for exact x when one is
+      symbolically available, else None (the default here);
+    * ``fixes(x, n)`` -- whether ``T^n x = x`` holds exactly; the default
+      compares ``power_apply(op, x, n)`` with x;
     * ``describe()`` -- the lines ``recurlab describe`` prints for it.
 
     The module-level ``apply``, ``power_apply`` and ``exact_state_period``
@@ -284,6 +287,9 @@ class Operator:
     def period_bound(self, x: Vector) -> Optional[int]:
         return None
 
+    def fixes(self, x: Vector, n: int) -> bool:
+        return state_exact_eq(power_apply(self, x, n), x)
+
 
 def _sparse(op: Operator, x: Vector) -> SparseVector:
     if not isinstance(x, SparseVector):
@@ -292,6 +298,25 @@ def _sparse(op: Operator, x: Vector) -> SparseVector:
 
 
 _DOUBLE = Fraction(2)     # the in-block weight, built once: step is the hot loop
+
+
+@lru_cache(maxsize=64)
+def _wrap_weight(block: int) -> Fraction:
+    """``2^-(block - 1)``, the weight from the end of a block to its start."""
+    return Fraction(1, 1 << (block - 1))
+
+
+def _dyadic_key(v: Value, offset: int) -> tuple[Value, int]:
+    """``v / 2^offset`` as (odd part, exponent of 2), built without ``2^offset``.
+
+    Two exact nonzero values divided by powers of 2 are equal exactly when
+    their keys are: the odd part has an odd numerator and denominator (the
+    magnitude's, for a ``Phase``)."""
+    mag = v.mag if isinstance(v, Phase) else v
+    num, den = mag.numerator, mag.denominator
+    up, down = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
+    odd = Fraction(num >> up, den >> down)
+    return (Phase(odd, v.turns) if isinstance(v, Phase) else odd), up - down - offset
 
 
 @dataclass(frozen=True)
@@ -304,22 +329,21 @@ class BlockCycle(Operator):
         """Image index and weight of one application on e_index."""
         if index == 1:
             return 1, Fraction(1)
-        j = index.bit_length() - 1
-        if index < (1 << (j + 1)) - 1:
+        block = 1 << (index.bit_length() - 1)
+        if index < 2 * block - 1:
             return index + 1, _DOUBLE
-        return 1 << j, Fraction(1, 1 << ((1 << j) - 1))
+        return block, _wrap_weight(block)
 
     def jump(self, index: int, n: int) -> tuple[int, Fraction]:
         """Image index and exact weight of ``T^n`` on ``e_index``."""
         if index == 1:
             return 1, Fraction(1)
-        j = index.bit_length() - 1
-        block, base = 1 << j, 1 << j
-        r = index - base
+        block = 1 << (index.bit_length() - 1)
+        r = index - block
         t = n % block
         if r + t < block:
-            return base + r + t, Fraction(2) ** t
-        return base + r + t - block, Fraction(2) ** (t - block)
+            return index + t, Fraction(1 << t)
+        return index + t - block, Fraction(1, 1 << (block - t))
 
     def apply(self, x):
         pairs = {}
@@ -338,9 +362,28 @@ class BlockCycle(Operator):
         return SparseVector.from_pairs(x.space, pairs.items())
 
     def period_bound(self, x):
-        if not (isinstance(x, SparseVector) and x.exact):
+        if not isinstance(x, SparseVector):
             return None
         return math.lcm(*(1 << (i.bit_length() - 1) for i in x.support if i > 1))
+
+    def fixes(self, x, n):
+        """``T^n x = x`` in dyadic coordinates, with no weight ever built.
+
+        With ``u_(B+o) = x_(B+o) / 2^o`` on block B, ``T^n`` rotates u inside
+        each block by n, so x is fixed exactly when every block's u is
+        invariant under rotation by ``n mod B``."""
+        blocks: dict[int, dict] = {}
+        for i, v in _sparse(self, x).entries:
+            if i > 1:
+                block = 1 << (i.bit_length() - 1)
+                blocks.setdefault(block, {})[i - block] = _dyadic_key(v, i - block)
+        for block, keys in blocks.items():
+            s = n % block
+            for o, (odd, e) in keys.items():
+                moved = keys.get((o + s) % block)
+                if moved is None or moved[1] != e or not exact_eq(moved[0], odd):
+                    return False
+        return True
 
     def describe(self):
         return [
@@ -444,7 +487,7 @@ class Diagonal(Operator):
                       for i, v in _sparse(self, x).entries))
 
     def period_bound(self, x):
-        if not (isinstance(x, SparseVector) and x.exact):
+        if not isinstance(x, SparseVector):
             return None
         out = 1
         for i in x.support:
@@ -547,7 +590,7 @@ class AffineComposition(Operator):
         return self.compose(_sparse(self, x), a_n, b_n)
 
     def period_bound(self, x):
-        # the symbol's order is a period of every f, float coefficients included
+        # the symbol's order is a period of every f
         if not isinstance(x, SparseVector):
             return None
         if all(i == 0 for i, _ in x.entries):
@@ -698,6 +741,9 @@ class Power(Operator):
         b = self.base.period_bound(x)
         return None if b is None else b // math.gcd(b, self.p)
 
+    def fixes(self, x, n):
+        return self.base.fixes(x, self.p * n)
+
     def describe(self):
         return [f"kind: power {self.p} of", *self.base.describe()]
 
@@ -802,29 +848,36 @@ def _phase_order(v: Value) -> Optional[int]:
 def exact_state_period(op: Operator, x: Vector) -> Optional[int]:
     """Minimal exact period of x under the operator, or None.
 
-    Starts from the operator's symbolic bound (block sizes, phase orders,
-    symbol orders) and minimizes over its divisors with exact state
-    comparisons.
+    Only exact vectors have one: float data never yields a period.  Starts
+    from the operator's symbolic bound (block sizes, phase orders, symbol
+    orders) and descends through its prime factors: each prime r divides
+    the period away for as long as ``T^(period/r) x = x``.
     """
     if isinstance(x, (SparseVector, FiniteRowVector)) and not x.entries:
         return 1                   # the zero vector is fixed by every operator
-    bound = op.period_bound(x)
-    if bound is None:
+    if not x.exact:
         return None
-    for d in sorted(_divisors(bound)):
-        if d < bound and state_exact_eq(power_apply(op, x, d), x):
-            return d
-    return bound
+    period = op.period_bound(x)
+    if period is None:
+        return None
+    for r in _prime_factors(period):
+        while period % r == 0 and op.fixes(x, period // r):
+            period //= r
+    return period
 
 
-def _divisors(n: int) -> list[int]:
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, by trial division."""
     out = []
-    d = 1
-    while d * d <= n:
+    d = 2
+    while n > 1 and d * d <= n:
         if n % d == 0:
             out.append(d)
-            out.append(n // d)
+            while n % d == 0:
+                n //= d
         d += 1
+    if n > 1:
+        out.append(n)
     return out
 
 

@@ -7,6 +7,11 @@ the cheapest sound strategy:
 * exact periodic states (block cycles, rational-angle diagonals, affine
   symbols of finite order, and their scalar multiples and powers) are
   evaluated over one period and tiled, so the cost is O(period) not O(N);
+* an unscaled block cycle (or a power of one) on an exact rational l2
+  vector takes that period from a dyadic kernel: in the coordinates
+  ``u_(B+o) = x_(B+o) / 2^o`` the cycle only rotates each block, so each
+  squared distance is one integer sum of shifted coordinates over a power
+  of 4, and no state and no weight ``2^t`` is built;
 * rotation-type operators (diagonals, unimodular multiples of a periodic
   base, diagonalizable matrices) get vectorized closed forms in which the
   angle of every eigenvalue power is reduced exactly, never iterated; each
@@ -22,8 +27,8 @@ the cheapest sound strategy:
   exact sparse data and stops once the orbit reaches the zero vector: every
   operator is linear, so the remaining values all equal ``p_i(x)``.
 
-The states of an exactly periodic orbit come from ``periodic_orbit`` alone,
-and every eigenvalue power of a closed form from ``_polar_powers`` alone.
+Every exact period comes from ``_period_within`` alone, and every
+eigenvalue power of a closed form from ``_polar_powers`` alone.
 The greedy net of ``totally_bounded_probe`` keeps its centres in one array
 and measures each orbit point against all of them in one vector step.
 
@@ -46,7 +51,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .families import IndexWindow
-from .operators import (Diagonal, FiniteDim, Matrix, Operator, Power,
+from .operators import (BlockCycle, Diagonal, FiniteDim, Matrix, Operator, Power,
                         RowRotation, RowState, Scaled, SequenceLp,
                         SparseVector, Vector, apply, check_seminorm_index,
                         diff_seminorm, exact_state_period, power_apply,
@@ -87,7 +92,9 @@ class DistanceProfile:
         if isinstance(self.values, np.ndarray):
             hits = self.values < float(bound)
         else:
-            hits = np.array([norm_lt(v, bound) for v in self.values], dtype=bool)
+            sq = bound * bound
+            hits = np.array([v.sq < sq if isinstance(v, ExactSqrt) else norm_lt(v, bound)
+                             for v in self.values], dtype=bool)
         # a periodic profile holds one period: tile it out to the horizon
         return IndexWindow.from_mask(np.resize(hits, self.horizon + 1))
 
@@ -148,24 +155,31 @@ def return_set(op: Operator, x: Vector, eps, seminorms: Sequence[int] = (0,),
 # distance profiles
 # ---------------------------------------------------------------------------
 
+def _period_within(op: Operator, x: Vector, cap: Optional[int]) -> Optional[int]:
+    """The minimal exact period of x, or None when there is none (or none <= cap)."""
+    period = exact_state_period(op, x)
+    return None if period is None or (cap is not None and period > cap) else period
+
+
 def periodic_orbit(op: Operator, x: Vector,
                    cap: Optional[int] = None) -> Optional[list[Vector]]:
     """The states ``T^r x`` for r below the minimal exact period of x, or
     None when x has no exact period (or none <= cap)."""
-    period = exact_state_period(op, x)
-    if period is None or (cap is not None and period > cap):
-        return None
-    return [power_apply(op, x, r) for r in range(period)]
+    period = _period_within(op, x, cap)
+    return None if period is None else [power_apply(op, x, r) for r in range(period)]
 
 
 def distance_profile(op: Operator, x: Vector, seminorms: tuple[int, ...],
                      N: int) -> DistanceProfile:
-    orbit = periodic_orbit(op, x, min(N + 1, _PERIOD_CAP))
-    if orbit is not None:
-        vals = tuple(_distance(y, x, seminorms) for y in orbit)
-        return DistanceProfile(vals, N, period=len(orbit), exact=True)
-
     base, factor, stride = _peel(op)
+    period = _period_within(op, x, min(N + 1, _PERIOD_CAP))
+    if period is not None:
+        vals = _block_cycle_distances(base, factor, stride, x, seminorms, period)
+        if vals is None:
+            vals = tuple(_distance(power_apply(op, x, r), x, seminorms)
+                         for r in range(period))
+        return DistanceProfile(vals, N, period=period, exact=True)
+
     fast = _FAST_PATHS.get(type(base))
     prof = None if fast is None else fast(base, factor, stride, x, seminorms, N)
     if prof is not None:
@@ -229,6 +243,61 @@ def _max_norm(vals):
         if _norm_gt(v, best):
             best = v
     return best
+
+
+def _block_cycle_distances(base: Operator, factor, stride: int, x: Vector,
+                           seminorms: tuple[int, ...], period: int) -> Optional[tuple]:
+    """One period of the exact l2 distances of a block-cycle orbit, from integers.
+
+    With D the common denominator of x and ``a = D x``, step n moves the
+    coordinate at offset ``src`` of block B to offset ``o = (src + n) mod B``
+    with weight ``2^(o - src)``, so the squared distance is
+
+        sum over blocks of sum_(o in S u (S+n)) (a_src 2^(o - src) - a_o)^2 / D^2
+
+    (a is 0 off the support S).  Every term is scaled by ``4^k`` for the
+    largest wrap deficit k at that n, so the sum is one integer and each
+    value one ``ExactSqrt``, equal to what ``_distance`` gives for ``T^n x``.
+    None unless the base is an unscaled block cycle, x has only Fraction
+    coordinates on an l2 space and the one seminorm is the norm.
+    """
+    if not (isinstance(base, BlockCycle) and factor is None and seminorms == (0,)
+            and isinstance(x, SparseVector) and _l2_like(x.space)
+            and all(isinstance(v, Fraction) for _, v in x.entries)):
+        return None
+    den = math.lcm(*(v.denominator for _, v in x.entries))
+    coords: dict[int, dict[int, int]] = {}     # block -> offset -> a
+    for i, v in x.entries:
+        if i > 1:                  # index 1 is fixed and adds nothing
+            block = 1 << (i.bit_length() - 1)
+            coords.setdefault(block, {})[i - block] = v.numerator * (den // v.denominator)
+    blocks = [(block, a, max(a)) for block, a in coords.items()]
+    den *= den
+    vals = []
+    for n in range(period):
+        moves = []
+        k = 0
+        for block, a, top in blocks:
+            s = n * stride % block
+            if s:
+                moves.append((block, s, a))
+                if top + s >= block:
+                    k = max(k, block - s)
+        total = 0
+        for block, s, a in moves:
+            for src, c in a.items():
+                o = src + s
+                e = s + k if o < block else s - block + k
+                c_o = a.get(o % block)
+                if c_o is None:        # a square by shifts alone
+                    total += c * c << 2 * e
+                else:
+                    d = (c << e) - (c_o << k)
+                    total += d * d
+                if (src - s) % block not in a:    # nothing lands on src
+                    total += c * c << 2 * k
+        vals.append(ExactSqrt(Fraction(total, den << 2 * k)))
+    return tuple(vals)
 
 
 def _stepwise_profile(op: Operator, x: Vector, seminorms: tuple[int, ...],
@@ -527,18 +596,6 @@ def orbit_growth(op: Operator, x: Vector, seminorm_index: int = 0,
     return GrowthCurve(tuple(samples), tuple(records), growing, bound)
 
 
-def _orbit(op: Operator, x: Vector, N: int) -> tuple[list[Vector], np.ndarray]:
-    """Distinct orbit states and an index with ``T^n x == states[index[n]]``
-    for n <= N: one period when x cycles within the horizon, else N+1 steps."""
-    states = periodic_orbit(op, x, N + 1)
-    if states is not None:
-        return states, np.arange(N + 1) % len(states)
-    states = [x]
-    for _ in range(N):
-        states.append(apply(op, states[-1]))
-    return states, np.arange(N + 1)
-
-
 def orbit_norms(op: Operator, x: Vector, seminorm_index: int, N: int) -> np.ndarray:
     """Float norms of the whole orbit prefix (overflow saturates to inf).
 
@@ -665,13 +722,23 @@ def _opens_center(p: np.ndarray, centers: np.ndarray, eps) -> bool:
 
 
 def _materialized_orbit(op: Operator, x: Vector, N: int) -> np.ndarray:
+    """``T^n x`` for n <= N as dense rows, one column per index of the union
+    of their supports in sorted order: one period tiled when x cycles within
+    the horizon, else the orbit stepped with one state held at a time."""
     if not isinstance(x, SparseVector):
         raise ValueError("compactness probe needs materializable states")
-    states, index = _orbit(op, x, N)
-    support = sorted({i for s in states for i in s.support})
-    pos = {i: k for k, i in enumerate(support)}
-    arr = np.zeros((len(states), max(1, len(support))), dtype=np.complex128)
-    for k, s in enumerate(states):
-        for i, v in s.entries:
-            arr[k, pos[i]] = to_complex(v)
-    return arr[index]
+    period = _period_within(op, x, N + 1)
+    rows = N + 1 if period is None else period
+    arr = np.zeros((rows, max(1, len(x.entries))), dtype=np.complex128)
+    column: dict[int, int] = {}        # index -> column, in order of appearance
+    y = x
+    for n in range(rows):
+        if n:
+            y = apply(op, y) if period is None else power_apply(op, x, n)
+        for i, v in y.entries:
+            k = column.setdefault(i, len(column))
+            if k == arr.shape[1]:
+                arr = np.concatenate([arr, np.zeros_like(arr)], axis=1)
+            arr[n, k] = to_complex(v)
+    arr = arr.take([column[i] for i in sorted(column)] or [0], axis=1)
+    return arr if period is None else arr[np.arange(N + 1) % period]

@@ -1,8 +1,11 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurlab import (AffineComposition, BlockCycle, Diagonal, EntireCoefficients,
                       ExactSqrt, FiniteRowVector, Matrix, Phase, Power,
@@ -82,6 +85,24 @@ class TestBlockCycle:
         mixed = SparseVector.from_pairs(L2, [(2, Fraction(1)), (5, Fraction(1))])
         assert exact_state_period(bc, mixed) == 4
 
+    @pytest.mark.parametrize("pairs, period", [
+        # u = x_(8+o) / 2^o is 1 at offsets 0 and 4: invariant under rotation by 4
+        ([(8, 1), (12, 16)], 4),
+        # u is 1 at offsets 0, 2, 4 and 6: the bound 8 falls twice
+        ([(8, 1), (10, 4), (12, 16), (14, 64)], 2),
+        # equal x, but u is 1 and 1/16: no rotation fixes it
+        ([(8, 1), (12, 1)], 8),
+    ])
+    def test_period_from_dyadic_coordinates(self, pairs, period):
+        x = SparseVector.from_pairs(L2, [(i, Fraction(v)) for i, v in pairs])
+        assert BlockCycle().period_bound(x) == 8
+        assert exact_state_period(BlockCycle(), x) == period
+
+    def test_huge_block_period_builds_no_weight(self):
+        start = time.process_time()
+        assert exact_state_period(BlockCycle(), SparseVector.unit(L2, 1 << 60)) == 1 << 60
+        assert time.process_time() - start < 1.0
+
     def test_float_mode_overflow_guard(self):
         bc = BlockCycle()
         x = SparseVector.from_pairs(L2, [(2 ** 11, 1.0 + 0j)])
@@ -90,6 +111,75 @@ class TestBlockCycle:
         # the same trajectory in exact arithmetic is fine
         y = power_apply(bc, SparseVector.unit(L2, 2 ** 11), 2 ** 10)
         assert y.entries[0][1] == Fraction(2) ** 1024
+
+
+def brute_force_period(op, x, cap=2048):
+    """The first d >= 1 for which d-fold ``apply`` returns x exactly."""
+    y = x
+    for d in range(1, cap + 1):
+        y = apply(op, y)
+        if state_exact_eq(y, x):
+            return d
+    raise AssertionError(f"no exact period up to {cap}")
+
+
+exact_scalar = st.one_of(
+    st.fractions(-4, 4, max_denominator=4).filter(bool),
+    st.builds(Phase, st.fractions(Fraction(1, 4), 4, max_denominator=4),
+              st.fractions(0, 1, max_denominator=6)))
+
+
+@st.composite
+def periodic_operator_cases(draw):
+    """Block cycles, rational-turn diagonals and row rotations, as they are,
+    as powers and (on sparse vectors) as rational-turn multiples."""
+    kind = draw(st.sampled_from(["block-cycle", "diagonal", "rows"]))
+    if kind == "rows":
+        cells = draw(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 31)),
+                                     exact_scalar, min_size=1, max_size=4))
+        folded = {(k, j % (1 << k)): v for (k, j), v in cells.items()}
+        op, x = RowRotation(), FiniteRowVector(tuple(sorted(
+            (k, j, v) for (k, j), v in folded.items())))
+    elif kind == "diagonal":
+        op = Diagonal(turns=Rule(draw(st.sampled_from(["n/12", "1/2^n", "3*n/10"]))))
+        x = SparseVector.from_pairs(L2, draw(st.dictionaries(
+            st.integers(1, 6), exact_scalar, min_size=1, max_size=4)).items())
+    else:
+        # a top block whose u = x_(B+o) / 2^o repeats with period q, each
+        # repeat sometimes off by a power of 2 or by a phase, over a few
+        # coordinates in lower blocks
+        op, block = BlockCycle(), 1 << draw(st.integers(1, 5))
+        q = max(1, block >> draw(st.integers(0, 2)))
+        pattern = draw(st.dictionaries(st.integers(0, q - 1), exact_scalar,
+                                       min_size=1, max_size=3))
+        pairs = draw(st.dictionaries(st.integers(1, block - 1), exact_scalar, max_size=2))
+        for r in range(block // q):
+            skew = draw(st.sampled_from([1, 1, 1, 1, 2, Fraction(1, 2), rot(Fraction(1, 3))]))
+            for o, u in pattern.items():
+                pairs[block + r * q + o] = skew * u * Fraction(2 ** (r * q + o))
+        x = SparseVector.from_pairs(L2, pairs.items())
+    if kind != "rows" and draw(st.booleans()):
+        op = Scaled(op, draw(st.sampled_from([Fraction(-1), rot(Fraction(1, 3)),
+                                              rot(Fraction(5, 6))])))
+    p = draw(st.integers(1, 4))
+    return (op if p == 1 else Power(op, p)), x
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(periodic_operator_cases())
+def test_period_descent_equals_brute_force(case):
+    op, x = case
+    assert exact_state_period(op, x) == brute_force_period(op, x)
+
+
+@pytest.mark.parametrize("op, x", [
+    (BlockCycle(), SparseVector.from_pairs(L2, [(5, 1.0 + 0j)])),
+    (Diagonal(turns=Rule("n/12")), SparseVector.from_pairs(L2, [(2, 0.5)])),
+    (RowRotation(), FiniteRowVector(((2, 1, 0.25),))),
+])
+def test_float_data_has_no_period(op, x):
+    assert op.period_bound(x) is not None
+    assert exact_state_period(op, x) is None
 
 
 class TestShift:
@@ -235,8 +325,10 @@ class TestAffineComposition:
     def test_rotation_symbol_period(self):
         space = EntireCoefficients(6)
         op = AffineComposition(rot(Fraction(1, 5)), Fraction(1), space)
+        exact = SparseVector.from_pairs(space, [(0, Fraction(1)), (2, Fraction(1, 2))])
+        assert exact_state_period(op, exact) == 5
         f = SparseVector.from_pairs(space, [(0, 1.0 + 0j), (2, 0.5 + 0j)])
-        assert exact_state_period(op, f) == 5
+        assert exact_state_period(op, f) is None    # no period from float data
         assert power_apply(op, f, 5) is f    # symbol collapses to the identity
 
     def test_eigenfunctions(self):

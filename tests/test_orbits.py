@@ -19,7 +19,9 @@ from recurlab import (BlockCycle, Diagonal, FiniteDim, Matrix, Phase, Power,
                       totally_bounded_probe)
 from recurlab.cli import execute_experiment
 from recurlab.config import parse_config
-from recurlab.orbits import _stepwise_profile, distance_profile, orbit_norms
+from recurlab.orbits import (DistanceProfile, _stepwise_profile, distance_profile,
+                             orbit_norms)
+from recurlab.values import ExactSqrt, norm_lt
 
 from conftest import rotation_matrix
 
@@ -223,6 +225,22 @@ class TestProfiles:
         assert w.elements == tuple(range(0, 65, 8))
 
 
+profile_value = st.one_of(st.fractions(0, 4, max_denominator=50).map(ExactSqrt),
+                          st.fractions(0, 4, max_denominator=50),
+                          st.floats(0, 4))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(st.lists(profile_value, min_size=1, max_size=20),
+       st.fractions(Fraction(1, 50), 4, max_denominator=50), st.integers(0, 3))
+def test_window_equals_per_value_norm_lt(values, eps, repeats):
+    # a periodic profile holds one period, tiled out to the horizon
+    horizon = len(values) * (repeats + 1) - 1
+    prof = DistanceProfile(tuple(values), horizon, period=len(values))
+    want = tuple(n for n in range(horizon + 1) if norm_lt(values[n % len(values)], eps))
+    assert prof.window(eps).elements == want
+
+
 class TestGrowth:
     def test_rowrotation_growth_witness(self):
         g = orbit_growth(RowRotation(), RowState(0), 1, 1 << 16)
@@ -372,6 +390,21 @@ class TestTotallyBounded:
             2000, [0.5])
         rows = cov.at(0.5)
         assert rows[-1][1] > 2 * rows[0][1]
+
+    def test_materialized_orbit_holds_one_state_at_a_time(self):
+        # 2 * 10^5 stepped states as 6.1 MiB of dense rows: holding every
+        # state before filling a row raised the peak by 82 MiB, filling the
+        # rows while stepping by about 12 MiB
+        grown = peak_growth_mib(
+            "from fractions import Fraction\n"
+            "from recurlab import FiniteDim, Matrix, SparseVector\n"
+            "from recurlab.orbits import _materialized_orbit\n"
+            "op = Matrix.from_array([[1, 1], [0, 1]])\n"
+            "x = SparseVector.from_pairs(FiniteDim(2), [(2, Fraction(1))])\n"
+            "_materialized_orbit(op, x, 10)\n",
+            "pts = _materialized_orbit(op, x, 200_000)\n"
+            "assert pts.shape == (200_001, 2) and pts[-1, 0] == 200_000\n")
+        assert grown <= 30.0, f"peak RSS grew by {grown} MiB"
 
     @staticmethod
     def loop_net_counts(op, x, N, eps_grid):

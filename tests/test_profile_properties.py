@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from recurlab import (BlockCycle, Diagonal, ExactSqrt, FiniteDim, Matrix,
                       Phase, Power, RowRotation, RowState, Rule, Scaled,
                       SequenceLp, SparseVector, WeightedBackwardShift, apply,
-                      diff_seminorm, orbits, return_set, return_sets)
+                      diff_seminorm, operators, orbits, return_set, return_sets)
 from recurlab.orbits import _stepwise_profile, distance_profile
 
 from conftest import rotation_matrix
@@ -174,6 +174,44 @@ def test_matrix_closed_form_matches_stepwise(case):
 @given(scaled_periodic_cases())
 def test_scaled_periodic_matches_stepwise(case):
     check_against_stepwise(*case, (0,), "scaled_profile")
+
+
+@st.composite
+def block_cycle_cases(draw):
+    """Rational vectors on indices 1..2^8, with several indices in one block
+    and sometimes index 1, under the block cycle and its powers 2..5."""
+    pairs = draw(st.dictionaries(st.integers(1, 1 << 8), small_rational,
+                                 min_size=1, max_size=3))
+    block = 1 << draw(st.integers(1, 7))
+    for offset in draw(st.sets(st.integers(0, block - 1), max_size=3)):
+        pairs[block + offset] = draw(small_rational)
+    if draw(st.booleans()):
+        pairs[1] = draw(small_rational)
+    p = draw(st.integers(1, 5))
+    return (BlockCycle() if p == 1 else Power(BlockCycle(), p)), \
+        SparseVector.from_pairs(L2, pairs.items())
+
+
+def no_power_apply(*args):
+    raise AssertionError("power_apply called")
+
+
+@PROPERTY
+@given(block_cycle_cases())
+def test_block_cycle_kernel_matches_stepwise(case):
+    op, x = case
+    horizon = 300                  # every period here divides 2^8
+    with mock.patch.object(operators, "power_apply", no_power_apply), \
+            mock.patch.object(orbits, "power_apply", no_power_apply):
+        prof = distance_profile(op, x, (0,), horizon)
+    with mock.patch.object(orbits, "_block_cycle_distances", return_value=None):
+        walked = distance_profile(op, x, (0,), horizon)
+    assert prof.values == walked.values
+    assert (prof.exact, prof.period) == (walked.exact, walked.period) == (True, len(prof.values))
+    slow = _stepwise_profile(op, x, (0,), horizon)
+    assert slow.exact
+    for n in range(horizon + 1):
+        assert isinstance(prof.value(n), ExactSqrt) and prof.value(n) == slow.value(n), n
 
 
 def jordan_block(lam, dim: int) -> Matrix:
