@@ -29,7 +29,7 @@ from .operators import (Diagonal, Matrix, NumericalFailure, Operator, Power,
                         WeightedBackwardShift, apply, diff_seminorm,
                         eigen_structure, power_apply, seminorm,
                         state_exact_eq)
-from .orbits import growth_schedule, periodic_orbit, return_sets
+from .orbits import fractional_turns, growth_schedule, periodic_orbit, return_sets
 from .rules import Rule
 from .values import Phase, log2_abs, to_complex, vabs
 
@@ -96,7 +96,7 @@ def kronecker_window(turns: Sequence, eps: float, N: int) -> IndexWindow:
             resid = (n * (t.numerator % t.denominator)) % t.denominator
             frac = resid / t.denominator
         else:
-            frac = np.mod(n * float(t), 1.0)
+            frac = fractional_turns(n, float(t))
         dist = 2.0 * np.abs(np.sin(np.pi * frac))
         members &= dist < eps
     return IndexWindow.from_mask(members)

@@ -599,6 +599,11 @@ class AffineComposition(Operator):
             return 1 if _is_zero(self.b) else None
         return _phase_order(self.a)
 
+    def fixes(self, x, n):
+        # every composition fixes a constant exactly, although compose()
+        # returns its image in floats
+        return all(i == 0 for i, _ in _sparse(self, x).entries) or super().fixes(x, n)
+
     def describe(self):
         return [
             "kind: affine composition f -> f(az + b) on truncated power series",
@@ -850,16 +855,17 @@ def exact_state_period(op: Operator, x: Vector) -> Optional[int]:
 
     Only exact vectors have one: float data never yields a period.  Starts
     from the operator's symbolic bound (block sizes, phase orders, symbol
-    orders) and descends through its prime factors: each prime r divides
-    the period away for as long as ``T^(period/r) x = x``.
+    orders), checks that ``T^bound x = x``, and descends through its prime
+    factors: each prime r divides the period away for as long as
+    ``T^(period/r) x = x``.
     """
     if isinstance(x, (SparseVector, FiniteRowVector)) and not x.entries:
         return 1                   # the zero vector is fixed by every operator
     if not x.exact:
         return None
     period = op.period_bound(x)
-    if period is None:
-        return None
+    if period is None or not op.fixes(x, period):
+        return None        # no bound, or one that is not a period after all
     for r in _prime_factors(period):
         while period % r == 0 and op.fixes(x, period // r):
             period //= r

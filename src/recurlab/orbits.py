@@ -18,9 +18,10 @@ the cheapest sound strategy:
   fills its one float64 output in blocks of ``_CHUNK`` indices n, so its
   temporaries stay bounded whatever the horizon;
 * a float matrix without a usable eigen system (a Jordan block) is stepped
-  densely: ``A @ y`` on raw complex arrays, exactly as ``Matrix.apply``
-  steps, with the distances of each block of states taken in one vector
-  step, bit for bit what stepwise application gives;
+  by one dense walker, ``A @ y`` on raw complex arrays exactly as
+  ``Matrix.apply`` steps; the profile folds distances from its blocks of
+  states, ``orbit_norms`` norms and the compactness probe rows, each bit
+  for bit what stepwise application gives;
 * the distinguished row-rotation orbit is evaluated blockwise in closed
   form (its profile values are dyadic rationals, exact in float64);
 * everything else falls back to stepwise application, which stays exact for
@@ -28,7 +29,10 @@ the cheapest sound strategy:
   operator is linear, so the remaining values all equal ``p_i(x)``.
 
 Every exact period comes from ``_period_within`` alone, and every
-eigenvalue power of a closed form from ``_polar_powers`` alone.
+eigenvalue power of a closed form from ``_polar_powers`` alone, its angle
+reduced by ``fractional_turns`` (``t - floor(t)``, ``np.mod`` bit for bit).
+An exact x under a diagonal of exactly unimodular entries keeps every
+coordinate modulus, so ``orbit_norms`` repeats its norm (``_isometric``).
 The greedy net of ``totally_bounded_probe`` keeps its centres in one array
 and measures each orbit point against all of them in one vector step.
 
@@ -337,7 +341,6 @@ def _rowstate_profile(base: RowRotation, factor, stride: int, x: Vector,
     shifted = n + x.offset
     lowbit = np.where(n > 0, n & -n, 1).astype(np.float64)
     first = np.where(n > 0, 1.0 / lowbit, 0.0)
-    out = np.array(first)
     top = int(max(seminorms))
     kcap = int(shifted.max() + top).bit_length() + 1
     extra = np.zeros_like(first)
@@ -353,9 +356,7 @@ def _rowstate_profile(base: RowRotation, factor, stride: int, x: Vector,
         hit_b = (pos_b >= half + 1) & (pos_b <= half + reach)
         differs = (n % block) != 0
         extra = extra + np.where(differs & (hit_a | hit_b), float(k), 0.0)
-    out = out + extra
-    out[n == 0] = 0.0
-    return DistanceProfile(out, N, exact=True)
+    return DistanceProfile(first + extra, N, exact=True)
 
 
 # -- eigenvalue powers -------------------------------------------------------
@@ -368,11 +369,19 @@ def _polar_powers(mod: float, turns: float, m: np.ndarray):
     finite (anything this large is out of any ball) and a zero modulus
     gives a vanishing radius for m > 0.
     """
-    angle = 2 * math.pi * np.mod(m * turns, 1.0)
+    angle = 2 * math.pi * fractional_turns(m, turns)
     if abs(mod - 1.0) < 1e-15:
         return 1.0, angle
     logs = np.clip(m * math.log(max(mod, 1e-300)), -745.0, 340.0)
     return np.exp(logs), angle
+
+
+def fractional_turns(m: np.ndarray, turns: float) -> np.ndarray:
+    """``np.mod(m * turns, 1.0)`` bit for bit, at a tenth of its cost: both
+    round the same exact value once (np.mod adds 1 to a negative fmod)."""
+    t = m * turns
+    t -= np.floor(t)
+    return t
 
 
 # -- diagonal closed form ----------------------------------------------------
@@ -435,49 +444,65 @@ def _matrix_profile(base: Matrix, factor, stride: int, x: Vector,
 
 def _stepped_matrix_profile(mat: Matrix, stride: int, x: Vector,
                             seminorms: tuple[int, ...], N: int) -> Optional[DistanceProfile]:
-    """The stepwise profile of a matrix with no eigen system, on raw arrays.
-
-    Each step is the ``A @ y`` of ``Matrix.apply`` (``stride`` of them per
-    step of a power), with exact zeros reset to +0j as ``from_pairs`` and
-    ``to_dense`` reset them.  Per block of states, the squared coordinate
-    differences are folded in coordinate order, as ``_exact_or_float`` folds
-    them, so every value is the float ``_stepwise_profile`` gives.  A state
-    with a zero coordinate is measured by ``_distance`` (its exact terms are
-    folded last), and so is x itself.  None -- stepwise iteration, with its
-    zero-state stop and its exactness -- when the orbit reaches the zero
-    vector or there is no step to take.
-    """
+    """The stepwise profile of a matrix with no eigen system, bit for bit,
+    from the dense walker; ``_distance`` measures x and any state with a zero
+    coordinate (its exact terms are folded last).  None -- stepwise iteration,
+    with its zero-state stop and exactness -- at a zero state or for N < 1."""
     if not (isinstance(x, SparseVector) and _l2_like(x.space)) or N < 1:
         return None
-    a = mat.array
     x_dense = x.to_dense(mat.n)
     out = np.empty(N + 1, dtype=np.float64)
     out[0] = float(_distance(x, x, seminorms))
-    states = np.empty((min(_CHUNK, N), mat.n), dtype=np.complex128)
-    y = x_dense
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in _blocks(N - 1):
-            block = states[:hi - lo]
+        for lo, block in _dense_orbit(mat.array, stride, x_dense, N):
+            zeros = block == 0
+            if zeros.all(axis=1).any():
+                return None
+            out[lo:lo + len(block)] = np.sqrt(_square_sums(block - x_dense))
+            for k in np.flatnonzero(zeros.any(axis=1)).tolist():
+                state = SparseVector.from_pairs(
+                    x.space, ((i + 1, complex(v)) for i, v in enumerate(block[k])))
+                out[lo + k] = float(_distance(state, x, seminorms))
+    return DistanceProfile(out, N, exact=False)
+
+
+def _dense_start(op: Operator, x: Vector):
+    """``(A, stride, x as a dense array)`` when one step of op is ``stride``
+    products ``A @ y`` on an l2 vector x, else None (the ``apply`` walker)."""
+    base, factor, stride = _peel(op)
+    if not (isinstance(base, Matrix) and factor is None
+            and isinstance(x, SparseVector) and _l2_like(x.space)):
+        return None
+    return base.array, stride, x.to_dense(base.n)
+
+
+def _dense_orbit(a: np.ndarray, stride: int, y: np.ndarray, N: int):
+    """The states ``A^(stride n) y``, 1 <= n <= N, as ``(n0, block)`` pairs,
+    ``block[k]`` being state n0 + k, in one buffer of ``_CHUNK`` rows that
+    the next block overwrites.  Each product is ``Matrix.apply``'s ``A @ y``
+    with exact zeros reset to +0j as ``from_pairs`` resets them, so every
+    state, a zero one too, is bit for bit the stepped one."""
+    states = np.empty((min(_CHUNK, N), len(y)), dtype=np.complex128)
+    for lo, hi in _blocks(N - 1):
+        block = states[:hi - lo]
+        with np.errstate(over="ignore", invalid="ignore"):
             for k in range(hi - lo):
                 for _ in range(stride):
                     y = a @ y
                     if not y.all():
                         y[y == 0] = 0
                 block[k] = y
-            zeros = block == 0
-            if zeros.all(axis=1).any():
-                return None
-            d = block - x_dense
-            sq = d.real * d.real + d.imag * d.imag
-            total = sq[:, 0]
-            for j in range(1, mat.n):
-                total = total + sq[:, j]
-            out[lo + 1:hi + 1] = np.sqrt(total)
-            for k in np.flatnonzero(zeros.any(axis=1)).tolist():
-                state = SparseVector.from_pairs(
-                    x.space, ((i + 1, complex(v)) for i, v in enumerate(block[k])))
-                out[lo + 1 + k] = float(_distance(state, x, seminorms))
-    return DistanceProfile(out, N, exact=False)
+        yield lo + 1, block
+
+
+def _square_sums(z: np.ndarray) -> np.ndarray:
+    """Per row, ``|z_1|^2 + |z_2|^2 + ...`` folded in coordinate order, as
+    ``_exact_or_float`` folds float terms."""
+    sq = z.real * z.real + z.imag * z.imag
+    total = sq[:, 0]
+    for j in range(1, z.shape[1]):
+        total = total + sq[:, j]
+    return total
 
 
 # closed-form profiles by the type of the peeled base operator; each takes
@@ -599,25 +624,51 @@ def orbit_growth(op: Operator, x: Vector, seminorm_index: int = 0,
 def orbit_norms(op: Operator, x: Vector, seminorm_index: int, N: int) -> np.ndarray:
     """Float norms of the whole orbit prefix (overflow saturates to inf).
 
-    A periodic x tiles one period; otherwise the orbit is stepped with one
-    state held at a time."""
+    An isometric diagonal orbit repeats the norm of x, a periodic x tiles
+    one period, a matrix orbit folds the norms of its dense states, and any
+    other orbit is stepped with one state held at a time."""
     def norm(y: Vector) -> float:
         try:
             return float(seminorm(x.space, seminorm_index, y))
         except OverflowError:
             return math.inf
 
+    if _isometric(op, x):
+        return np.full(N + 1, norm(x))
     period = periodic_orbit(op, x, N + 1)
     if period is not None:
         norms = np.array([norm(y) for y in period], dtype=np.float64)
         return norms[np.arange(N + 1) % len(period)]
+    dense = _dense_start(op, x)
+    if dense is None:
+        return np.fromiter(map(norm, _applied(op, x, N)), np.float64, N + 1)
     norms = np.empty(N + 1, dtype=np.float64)
+    norms[0] = norm(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, block in _dense_orbit(*dense, N):
+            norms[lo:lo + len(block)] = np.sqrt(_square_sums(block))
+    return norms
+
+
+def _applied(op: Operator, x: Vector, N: int):
+    """``T^n x`` for n = 0..N, by one application per step."""
     y = x
     for n in range(N + 1):
         if n:
             y = apply(op, y)
-        norms[n] = norm(y)
-    return norms
+        yield y
+
+
+def _isometric(op: Operator, x: Vector) -> bool:
+    """Whether every coordinate modulus of every ``T^n x`` is exactly
+    ``|x_j|``: x exact under a diagonal whose entries on x's support, and
+    any scalar factor, have modulus 1 as a Fraction (a Phase of magnitude 1
+    or a Fraction +-1), so each product keeps each modulus as it was."""
+    base, factor, _ = _peel(op)
+    if not (isinstance(base, Diagonal) and isinstance(x, SparseVector) and x.exact):
+        return False
+    units = [base.entry(i) for i in x.support] + ([] if factor is None else [factor])
+    return all(isinstance(abs(v), Fraction) and abs(v) == 1 for v in units)
 
 
 @dataclass(frozen=True)
@@ -724,21 +775,28 @@ def _opens_center(p: np.ndarray, centers: np.ndarray, eps) -> bool:
 def _materialized_orbit(op: Operator, x: Vector, N: int) -> np.ndarray:
     """``T^n x`` for n <= N as dense rows, one column per index of the union
     of their supports in sorted order: one period tiled when x cycles within
-    the horizon, else the orbit stepped with one state held at a time."""
+    the horizon, else the orbit stepped with one state held at a time (a
+    matrix orbit by the dense walker)."""
     if not isinstance(x, SparseVector):
         raise ValueError("compactness probe needs materializable states")
     period = _period_within(op, x, N + 1)
+    dense = _dense_start(op, x) if period is None else None
+    if dense is not None:
+        arr = np.empty((N + 1, len(dense[2])), dtype=np.complex128)
+        arr[0] = dense[2]
+        for lo, block in _dense_orbit(*dense, N):
+            arr[lo:lo + len(block)] = block
+        keep = (arr[1:] != 0).any(axis=0)
+        keep[[i - 1 for i in x.support]] = True
+        return arr if keep.all() else arr[:, keep]
     rows = N + 1 if period is None else period
-    arr = np.zeros((rows, max(1, len(x.entries))), dtype=np.complex128)
-    column: dict[int, int] = {}        # index -> column, in order of appearance
-    y = x
-    for n in range(rows):
-        if n:
-            y = apply(op, y) if period is None else power_apply(op, x, n)
+    states = _applied(op, x, N) if period is None else (
+        power_apply(op, x, n) for n in range(period))
+    columns: dict[int, np.ndarray] = {}        # index -> its coordinates
+    for n, y in enumerate(states):
         for i, v in y.entries:
-            k = column.setdefault(i, len(column))
-            if k == arr.shape[1]:
-                arr = np.concatenate([arr, np.zeros_like(arr)], axis=1)
-            arr[n, k] = to_complex(v)
-    arr = arr.take([column[i] for i in sorted(column)] or [0], axis=1)
+            if i not in columns:
+                columns[i] = np.zeros(rows, dtype=np.complex128)
+            columns[i][n] = to_complex(v)
+    arr = np.stack([columns[i] for i in sorted(columns)] or [np.zeros(rows, complex)], axis=1)
     return arr if period is None else arr[np.arange(N + 1) % period]

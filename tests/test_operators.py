@@ -14,7 +14,7 @@ from recurlab import (AffineComposition, BlockCycle, Diagonal, EntireCoefficient
                       continuity_bound_check, continuity_bound_constant,
                       diff_seminorm, eigen_structure, exact_state_period,
                       power_apply, rot, seminorm, state_exact_eq)
-from recurlab.operators import PrecisionError
+from recurlab.operators import Operator, PrecisionError
 from recurlab.values import diff_abs2, exact_eq, to_complex
 
 L2 = SequenceLp(2)
@@ -182,6 +182,35 @@ def test_float_data_has_no_period(op, x):
     assert exact_state_period(op, x) is None
 
 
+class LyingBound(Operator):
+    """``c T`` for the identity T, with a symbolic bound that need not be a period."""
+
+    space = L2
+
+    def __init__(self, c, bound):
+        self.c, self.bound = c, bound
+
+    def apply(self, x):
+        return x.scale(self.c)
+
+    def power(self, x, n):
+        return x.scale(self.c ** n)
+
+    def period_bound(self, x):
+        return self.bound
+
+
+@pytest.mark.parametrize("c, bound, period", [
+    (Fraction(2), 6, None),       # no period at all: the descent used to give 6
+    (Fraction(-1), 3, None),      # period 2, bound 3: the descent used to give 3
+    (Fraction(-1), 6, 2),         # a true bound still descends to the period
+    (Fraction(1), 12, 1),
+])
+def test_a_bound_must_be_a_period(c, bound, period):
+    x = SparseVector.from_pairs(L2, [(1, Fraction(1)), (4, Fraction(-1, 3))])
+    assert exact_state_period(LyingBound(c, bound), x) == period
+
+
 class TestShift:
     def test_action(self):
         b = WeightedBackwardShift(Rule("2"))
@@ -330,6 +359,13 @@ class TestAffineComposition:
         f = SparseVector.from_pairs(space, [(0, 1.0 + 0j), (2, 0.5 + 0j)])
         assert exact_state_period(op, f) is None    # no period from float data
         assert power_apply(op, f, 5) is f    # symbol collapses to the identity
+
+    def test_constants_are_fixed(self):
+        space = EntireCoefficients(6)
+        const = SparseVector.from_pairs(space, [(0, Fraction(3))])
+        for a, b in ((rot(Fraction(1, 5)), Fraction(1)), (Fraction(-1), Fraction(1, 2)),
+                     (Fraction(1), Fraction(0))):
+            assert exact_state_period(AffineComposition(a, b, space), const) == 1
 
     def test_eigenfunctions(self):
         space = EntireCoefficients(6)
