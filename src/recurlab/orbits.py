@@ -13,10 +13,11 @@ the cheapest sound strategy:
   squared distance is one integer sum of shifted coordinates over a power
   of 4, and no state and no weight ``2^t`` is built;
 * rotation-type operators (diagonals, unimodular multiples of a periodic
-  base, diagonalizable matrices) get vectorized closed forms in which the
-  angle of every eigenvalue power is reduced exactly, never iterated; each
-  fills its one float64 output in blocks of ``_CHUNK`` indices n, so its
-  temporaries stay bounded whatever the horizon;
+  base, diagonalizable matrices) get vectorized closed forms in which each
+  eigenvalue power is a block-start unit times one table of ``_CHUNK``
+  units, never iterated; each fills its one float64 output in blocks of
+  ``_CHUNK`` indices n, so its temporaries stay bounded whatever the
+  horizon;
 * a float matrix without a usable eigen system (a Jordan block) is stepped
   by one dense walker, ``A @ y`` on raw complex arrays exactly as
   ``Matrix.apply`` steps; the profile folds distances from its blocks of
@@ -29,8 +30,13 @@ the cheapest sound strategy:
   operator is linear, so the remaining values all equal ``p_i(x)``.
 
 Every exact period comes from ``_period_within`` alone, and every
-eigenvalue power of a closed form from ``_polar_powers`` alone, its angle
-reduced by ``fractional_turns`` (``t - floor(t)``, ``np.mod`` bit for bit).
+eigenvalue power of a closed form from ``_eigen_powers`` alone:
+``e^(2 pi i t (lo + k))`` is ``e^(2 pi i t lo)``, one complex scalar per
+block, times ``e^(2 pi i t k)`` from a table built once for k < ``_CHUNK``.
+Both angles are reduced by ``fractional_turns`` (``t - floor(t)``,
+``np.mod`` bit for bit), so a power carries the rounding of ``lo t`` and of
+``k t`` plus about 2 ulp of one complex product: the order of the rounding
+of ``(lo + k) t`` that reducing each power alone carried.
 An exact x under a diagonal of exactly unimodular entries keeps every
 coordinate modulus, so ``orbit_norms`` repeats its norm (``_isometric``).
 The greedy net of ``totally_bounded_probe`` keeps its centres in one array
@@ -218,8 +224,11 @@ def _peel(op: Operator):
 
 
 def _mul_factor(a, b):
+    """``a * b``, exact when both are Phases or Fractions."""
     if isinstance(a, Phase) or isinstance(b, Phase):
         return (a * b) if isinstance(a, Phase) else (b * a)
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a * b
     return to_complex(a) * to_complex(b)
 
 
@@ -361,19 +370,33 @@ def _rowstate_profile(base: RowRotation, factor, stride: int, x: Vector,
 
 # -- eigenvalue powers -------------------------------------------------------
 
-def _polar_powers(mod: float, turns: float, m: np.ndarray):
-    """``(mod e^(2 pi i turns))^m`` as (radius, angle) for float exponents m.
+def _eigen_powers(mod: float, turns: float, step: int, count: int, start: int = 0):
+    """``(mod e^(2 pi i turns))^m`` for ``m = start + step k``, 0 <= k < count,
+    as ``(lo, hi, radius, unit)`` per block of ``_CHUNK`` indices k.
 
-    The angle is reduced modulo one turn before it is scaled, so unimodular
-    powers never drift; the radius is clipped so that its square stays
-    finite (anything this large is out of any ball) and a zero modulus
-    gives a vanishing radius for m > 0.
+    The unit is a block-start unit times one table built once,
+    ``e^(2 pi i t (m0 + step j)) = e^(2 pi i t m0) e^(2 pi i t step j)``
+    for j < ``_CHUNK``, both angles reduced by ``fractional_turns`` before
+    they are scaled, so unimodular powers never drift.  The radius is None
+    for a modulus within 1e-15 of 1 (the unit is the power), else
+    ``mod^m`` clipped so that its square stays finite (anything this large
+    is out of any ball); a zero modulus gives a vanishing radius for m > 0.
     """
-    angle = 2 * math.pi * fractional_turns(m, turns)
-    if abs(mod - 1.0) < 1e-15:
-        return 1.0, angle
-    logs = np.clip(m * math.log(max(mod, 1e-300)), -745.0, 340.0)
-    return np.exp(logs), angle
+    k = np.arange(min(_CHUNK, count), dtype=np.float64)
+    table = _unit(fractional_turns(k * step, turns))
+    log_mod = None if abs(mod - 1.0) < 1e-15 else math.log(max(mod, 1e-300))
+    for lo, hi in _blocks(count - 1):
+        unit = _unit(fractional_turns(start + step * lo, turns)) * table[:hi - lo]
+        if log_mod is None:
+            yield lo, hi, None, unit
+        else:
+            m = np.arange(lo, hi, dtype=np.float64) * step + start
+            yield lo, hi, np.exp(np.clip(m * log_mod, -745.0, 340.0)), unit
+
+
+def _unit(t):
+    """``e^(2 pi i t)``."""
+    return np.exp(2j * math.pi * t)
 
 
 def fractional_turns(m: np.ndarray, turns: float) -> np.ndarray:
@@ -395,19 +418,17 @@ def _diagonal_profile(op: Diagonal, factor, stride: int, x: Vector,
     if not (_l2_like(op.space) and isinstance(x, SparseVector)):
         return None
     f_c = to_complex(factor) if factor is not None else 1.0 + 0j
-    coords = []
+    total = np.zeros(N + 1, dtype=np.float64)
     for idx, v in x.entries:
         lam_c = to_complex(op.entry(idx))
         turns = (cmath.phase(lam_c) + cmath.phase(f_c)) / (2 * math.pi)
-        coords.append((float(vabs(v)) ** 2, abs(lam_c) * abs(f_c), turns))
-    out = np.empty(N + 1, dtype=np.float64)
-    for lo, hi in _blocks(N):
-        n = np.arange(lo, hi, dtype=np.float64) * stride
-        total = np.zeros_like(n)
-        for weight, mod, turns in coords:
-            r, theta = _polar_powers(mod, turns, n)
-            total += weight * (r * r - 2.0 * r * np.cos(theta) + 1.0)
-        out[lo:hi] = np.sqrt(np.maximum(total, 0.0))
+        weight = float(vabs(v)) ** 2
+        for lo, hi, r, p in _eigen_powers(abs(lam_c) * abs(f_c), turns, stride, N + 1):
+            if r is None:
+                total[lo:hi] += weight * (2.0 - 2.0 * p.real)
+            else:
+                total[lo:hi] += weight * (r * r - 2.0 * r * p.real + 1.0)
+    out = np.sqrt(np.maximum(total, 0.0, out=total), out=total)
     out[0] = 0.0
     return DistanceProfile(out, N, exact=False)
 
@@ -421,23 +442,29 @@ def _blocks(N: int):
 
 def _matrix_profile(base: Matrix, factor, stride: int, x: Vector,
                     seminorms: tuple[int, ...], N: int) -> Optional[DistanceProfile]:
+    """l2 distance of a diagonalizable matrix orbit: with ``A = S diag(lam) S^-1``
+    and ``c = S^-1 x``, ``A^m x - x = (S diag(c)) lam^m - x``, with the powers
+    held as one row per eigenvalue, a block of n at a time."""
     mat = base if factor is None else Matrix.from_array(to_complex(factor) * base.array)
     if mat.eigen_system is None:
         return None if factor is not None else _stepped_matrix_profile(
             mat, stride, x, seminorms, N)
     S, lam, Sinv, _ = mat.eigen_system
-    c = Sinv @ x.to_dense(mat.n)
-    mods = np.abs(lam)
-    angs = np.angle(lam) / (2 * math.pi)
+    x_dense = x.to_dense(mat.n)
+    sc = S * (Sinv @ x_dense)
+    powers = [_eigen_powers(mod, turns, stride, N + 1)
+              for mod, turns in zip(np.abs(lam), np.angle(lam) / (2 * math.pi))]
     out = np.empty(N + 1, dtype=np.float64)
-    for lo, hi in _blocks(N):
-        n = np.arange(lo, hi, dtype=np.float64) * stride
-        powers = np.empty((len(n), mat.n), dtype=np.complex128)
-        for j in range(mat.n):
-            radial, theta = _polar_powers(mods[j], angs[j], n)
-            powers[:, j] = radial * np.exp(1j * theta)
-        diffs = (powers - 1.0) * c[None, :]
-        out[lo:hi] = np.linalg.norm(diffs @ S.T, axis=1)
+    rows = np.empty((mat.n, min(_CHUNK, N + 1)), dtype=np.complex128)
+    diffs = np.empty_like(rows)
+    for block in zip(*powers):
+        lo, hi = block[0][:2]
+        p, d = rows[:, :hi - lo], diffs[:, :hi - lo]
+        for j, (_, _, r, unit) in enumerate(block):
+            np.multiply(1.0 if r is None else r, unit, out=p[j])
+        np.matmul(sc, p, out=d)
+        d -= x_dense[:, None]
+        np.sqrt(_square_sums(d.T), out=out[lo:hi])
     out[0] = 0.0
     return DistanceProfile(out, N, exact=False)
 
@@ -534,16 +561,14 @@ def scaled_profile(states: Sequence[SparseVector], factor, stride: int,
     mod, turns = abs(f_c), cmath.phase(f_c) / (2 * math.pi)
     x2 = float(_norm2(x))
     out = np.empty(N + 1, dtype=np.float64)
-    span = period * _CHUNK          # one block of a residue class: _CHUNK indices
     for r, s in enumerate(states):
         inner, s2 = _inner(s, x), float(_norm2(s))
-        for lo in range(r, N + 1, span):
-            hi = min(lo + span, N + 1)
-            ms = np.arange(lo, hi, period, dtype=np.float64) * stride
-            radial, theta = _polar_powers(mod, turns, ms)
-            re = np.cos(theta) * inner.real - np.sin(theta) * inner.imag
-            d2 = radial * radial * s2 - 2.0 * radial * re + x2
-            out[lo:hi:period] = np.sqrt(np.maximum(d2, 0.0))
+        for lo, hi, radial, p in _eigen_powers(mod, turns, stride * period,
+                                               len(range(r, N + 1, period)), stride * r):
+            re = p.real * inner.real - p.imag * inner.imag
+            d2 = (s2 - 2.0 * re if radial is None
+                  else radial * radial * s2 - 2.0 * radial * re) + x2
+            out[r + lo * period:r + hi * period:period] = np.sqrt(np.maximum(d2, 0.0))
     out[0] = 0.0
     return DistanceProfile(out, N, exact=False)
 

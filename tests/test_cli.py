@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -164,6 +167,18 @@ class TestRunner:
         assert files_a == files_b
         for rel in files_a:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    def test_module_entry_point_runs_the_zoo(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "recurlab", "run", "demos/configs/zoo.cfg",
+             "--out", str(tmp_path / "out"), "--workers", "1"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out/summary.txt").exists()
 
     def test_empty_config_succeeds(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "[output]\ndirectory = results\n")

@@ -188,6 +188,7 @@ ISOMETRIC = [
     (Scaled(Diagonal(values=Rule("-1")), Fraction(-1)), X_EXACT),
     (Power(Diagonal(turns=Rule("sqrt(7)*n/3")), 3), X_EXACT),
     (Power(Scaled(Diagonal(turns=Rule("sqrt(2)*n")), Fraction(-1)), 2), X_EXACT),
+    (Scaled(Scaled(Diagonal(turns=Rule("sqrt(2)*n")), Fraction(-1)), Fraction(-1)), X_EXACT),
     *[(IRRATIONAL, vec(space, (1, Fraction(1, 3)), (2, Fraction(2))))
       for space in (SequenceLp(1), SequenceLp(3), SequenceSup())],
     (IRRATIONAL, vec(L2)),

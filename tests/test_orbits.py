@@ -218,6 +218,19 @@ class TestProfiles:
             "assert recs[0].window.count > recs[1].window.count > 1\n")
         assert grown <= 40.0, f"peak RSS grew by {grown} MiB"
 
+    def test_diagonal_profile_fills_blocks(self):
+        # the same horizon on a 2-coordinate irrational diagonal: the powers of
+        # each coordinate come in blocks of n, from one table of _CHUNK units
+        grown = peak_growth_mib(
+            "from fractions import Fraction\n"
+            "from recurlab import Diagonal, Rule, SequenceLp, SparseVector, return_sets\n"
+            "op = Diagonal(turns=Rule('sqrt(2)*n'))\n"
+            "x = SparseVector.from_pairs(SequenceLp(2), [(1, Fraction(1)), (2, Fraction(1, 2))])\n"
+            "return_sets(op, x, [Fraction(1, 2)], (0,), 10)\n",
+            "recs = return_sets(op, x, [Fraction(1, 2), Fraction(1, 5)], (0,), 10 ** 6)\n"
+            "assert recs[0].window.count > recs[1].window.count > 1\n")
+        assert grown <= 40.0, f"peak RSS grew by {grown} MiB"
+
     def test_periodic_profile_tiles(self):
         prof = distance_profile(BlockCycle(), SparseVector.unit(L2, 9), (0,), 64)
         assert prof.period == 8

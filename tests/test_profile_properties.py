@@ -8,7 +8,8 @@ without an eigen system must agree with it bit for bit.  Stepwise iteration, whi
 stops once an orbit reaches 0, must equal a plain loop of one
 ``apply`` per step exactly.  Windows cut from one profile must grow with
 epsilon, and ``return_sets`` over a grid must equal one ``return_set`` per
-radius.
+radius.  Past their first block of ``_CHUNK`` indices the closed forms must
+agree with exact-turn distances within 1e-9.
 """
 
 import cmath
@@ -25,7 +26,7 @@ from recurlab import (BlockCycle, Diagonal, ExactSqrt, FiniteDim, Matrix,
                       Phase, Power, RowRotation, RowState, Rule, Scaled,
                       SequenceLp, SparseVector, WeightedBackwardShift, apply,
                       diff_seminorm, operators, orbits, return_set, return_sets)
-from recurlab.orbits import _stepwise_profile, distance_profile
+from recurlab.orbits import _stepwise_profile, distance_profile, fractional_turns
 
 from conftest import rotation_matrix
 
@@ -48,7 +49,7 @@ def sparse(space, max_index):
     return pairs.map(lambda d: SparseVector.from_pairs(space, d.items()))
 
 
-def strategy_taken(op, x, seminorms):
+def strategy_taken(op, x, seminorms, horizon=N):
     """The profile and the names of the strategies that produced it."""
     taken = []
 
@@ -63,7 +64,7 @@ def strategy_taken(op, x, seminorms):
     fast = {kind: spy(fn) for kind, fn in orbits._FAST_PATHS.items()}
     with mock.patch.dict(orbits._FAST_PATHS, fast), \
             mock.patch.object(orbits, "scaled_profile", spy(orbits.scaled_profile)):
-        prof = distance_profile(op, x, seminorms, N)
+        prof = distance_profile(op, x, seminorms, horizon)
     if prof.period is not None:
         taken.append("periodic")
     return prof, taken
@@ -383,3 +384,120 @@ def test_return_sets_windows_nested_in_epsilon(case, grid):
                      key=lambda rec: rec.epsilon)
     windows = [rec.window.member_set for rec in records]
     assert all(lo <= hi for lo, hi in zip(windows, windows[1:]))
+
+
+# ---------------------------------------------------------------------------
+# closed forms past their first block of _CHUNK indices
+# ---------------------------------------------------------------------------
+
+BLOCKS_N = 3 * orbits._CHUNK + 5
+GOLDEN = (math.sqrt(5) - 1) / 2
+CONJ = np.array([[3, 1], [-1, 2]], dtype=np.complex128)
+
+
+def exact_turns(theta: float, m: np.ndarray) -> np.ndarray:
+    """frac(m theta) for the float theta, in integers on the 2^-53 grid
+    (uint64 products wrap modulo 2^64, a multiple of 2^53)."""
+    k = Fraction(theta % 1.0) * (1 << 53)
+    assert k.denominator == 1, "turn off the 2^-53 grid"
+    frac = (m.astype(np.uint64) * np.uint64(k)) & np.uint64((1 << 53) - 1)
+    return frac.astype(np.float64) / float(1 << 53)
+
+
+def exact_units(thetas, m: np.ndarray) -> np.ndarray:
+    """e^(2 pi i m (theta_1 + theta_2 + ...)), each product reduced exactly."""
+    return np.exp(2j * np.pi * sum(exact_turns(t, m) for t in thetas))
+
+
+def diagonal_distances(coords, factor_turns, stride):
+    """coords: (x_j, |lambda_j|, turns of lambda_j); an optional unimodular factor."""
+    m = np.arange(BLOCKS_N + 1, dtype=np.int64) * stride
+    total = np.zeros(BLOCKS_N + 1)
+    for a, mod, theta in coords:
+        p = mod ** m.astype(np.float64) * exact_units([theta, *factor_turns], m)
+        total += float(a) ** 2 * np.abs(p - 1.0) ** 2
+    return np.sqrt(total)
+
+
+def conjugated_distances(thetas, stride):
+    """||S (D^m - I) S^-1 e_1|| for D = diag(e^(2 pi i theta_j))."""
+    m = np.arange(BLOCKS_N + 1, dtype=np.int64) * stride
+    c = np.linalg.solve(CONJ, np.array([1, 0], dtype=np.complex128))
+    acc = sum(((exact_units([t], m) - 1.0) * c[j])[:, None] * CONJ[:, j][None, :]
+              for j, t in enumerate(thetas))
+    return np.sqrt((np.abs(acc) ** 2).sum(axis=1))
+
+
+def scaled_distances(x, factor_turns, stride):
+    """|f^m B^m x - x| with the exact block-cycle states of x, m = stride n."""
+    period = operators.exact_state_period(BlockCycle(), x)
+    dense = np.array([[complex(v) for v in
+                       operators.power_apply(BlockCycle(), x, r).to_dense(16)]
+                      for r in range(period)])
+    m = np.arange(BLOCKS_N + 1, dtype=np.int64) * stride
+    states = dense[m % period] * exact_units([factor_turns], m)[:, None]
+    return np.sqrt((np.abs(states - dense[0]) ** 2).sum(axis=1))
+
+
+def l2(*pairs):
+    return SparseVector.from_pairs(L2, pairs)
+
+
+def conjugated(thetas):
+    lam = np.diag(np.exp(2j * np.pi * np.array(thetas)))
+    return Matrix.from_array(CONJ @ lam @ np.linalg.inv(CONJ))
+
+
+BLOCK_X = l2((9, Fraction(1)), (12, Fraction(-1, 2)))
+BLOCK_CASES = [
+    ("irrational diagonal", Diagonal(turns=Rule("sqrt(2)*n")),
+     l2((1, Fraction(1)), (2, Fraction(1, 2))), "_diagonal_profile",
+     lambda: diagonal_distances([(1, 1.0, math.sqrt(2)), (0.5, 1.0, 2 * math.sqrt(2))], [], 1)),
+    ("diagonal power", Power(Diagonal(turns=Rule("sqrt(3)*n")), 3),
+     l2((2, Fraction(3, 4)), (3, Fraction(1))), "_diagonal_profile",
+     lambda: diagonal_distances([(0.75, 1.0, 2 * math.sqrt(3)), (1, 1.0, 3 * math.sqrt(3))], [], 3)),
+    # one unimodular coordinate and one of modulus 1 - 10^-5, both turned
+    ("scaled diagonal, modulus below 1",
+     Scaled(Diagonal(values=Rule("1 - (n-1)/100000")), Phase(Fraction(1), GOLDEN)),
+     l2((1, Fraction(1)), (2, Fraction(2))), "_diagonal_profile",
+     lambda: diagonal_distances([(1, 1.0, 0.0), (2, 0.99999, 0.0)], [GOLDEN], 1)),
+    ("conjugated matrix", conjugated([0.71, 0.93]), SparseVector.unit(FiniteDim(2), 1),
+     "_matrix_profile", lambda: conjugated_distances([0.71, 0.93], 1)),
+    ("conjugated matrix power", Power(conjugated([0.71, 0.93]), 2),
+     SparseVector.unit(FiniteDim(2), 1), "_matrix_profile",
+     lambda: conjugated_distances([0.71, 0.93], 2)),
+    ("scaled block cycle", Scaled(BlockCycle(), Phase(Fraction(1), math.sqrt(5))), BLOCK_X,
+     "scaled_profile", lambda: scaled_distances(BLOCK_X, math.sqrt(5), 1)),
+    ("scaled block cycle power",
+     Power(Scaled(BlockCycle(), Phase(Fraction(1), GOLDEN)), 3), BLOCK_X,
+     "scaled_profile", lambda: scaled_distances(BLOCK_X, GOLDEN, 3)),
+]
+
+
+def block_errors(case):
+    _, op, x, strategy, exact = case
+    prof, taken = strategy_taken(op, x, (0,), BLOCKS_N)
+    assert taken == [strategy]
+    return np.abs(np.asarray(prof.values) - exact())
+
+
+def lagging_block_starts():
+    """``fractional_turns`` with every block-start angle (a scalar m) taken
+    from the start of the block before, per angle."""
+    last = {}
+
+    def reduce(m, turns):
+        if np.ndim(m) == 0:
+            m, last[turns] = last.get(turns, m), m
+        return fractional_turns(m, turns)
+    return mock.patch.object(orbits, "fractional_turns", reduce)
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
+def test_closed_forms_agree_past_the_first_block(case):
+    errors = block_errors(case)
+    assert errors.shape == (BLOCKS_N + 1,)
+    assert errors.max() < 1e-9, int(errors.argmax())
+    with lagging_block_starts():
+        errors = block_errors(case)
+    assert errors.max() > 1e-3
