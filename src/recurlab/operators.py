@@ -281,7 +281,8 @@ class Operator:
     The module-level ``apply``, ``power_apply`` and ``exact_state_period``
     are the entry points that call them.  A closed-form distance profile is
     optional: one entry, keyed by the operator's type, in
-    ``orbits._FAST_PATHS``.
+    ``orbits._FAST_PATHS``; a spectral one only builds the Gram data that
+    ``orbits._spectral_profile`` evaluates.
     """
 
     def period_bound(self, x: Vector) -> Optional[int]:

@@ -13,11 +13,9 @@ the cheapest sound strategy:
   squared distance is one integer sum of shifted coordinates over a power
   of 4, and no state and no weight ``2^t`` is built;
 * rotation-type operators (diagonals, unimodular multiples of a periodic
-  base, diagonalizable matrices) get vectorized closed forms in which each
-  eigenvalue power is a block-start unit times one table of ``_CHUNK``
-  units, never iterated; each fills its one float64 output in blocks of
-  ``_CHUNK`` indices n, so its temporaries stay bounded whatever the
-  horizon;
+  base, diagonalizable matrices) read ``T^m x = sum_j mu_j^m v_j`` off
+  their spectrum in blocks of ``_CHUNK`` indices n, so the temporaries stay
+  bounded whatever the horizon;
 * a float matrix without a usable eigen system (a Jordan block) is stepped
   by one dense walker, ``A @ y`` on raw complex arrays exactly as
   ``Matrix.apply`` steps; the profile folds distances from its blocks of
@@ -29,14 +27,12 @@ the cheapest sound strategy:
   exact sparse data and stops once the orbit reaches the zero vector: every
   operator is linear, so the remaining values all equal ``p_i(x)``.
 
-Every exact period comes from ``_period_within`` alone, and every
-eigenvalue power of a closed form from ``_eigen_powers`` alone:
-``e^(2 pi i t (lo + k))`` is ``e^(2 pi i t lo)``, one complex scalar per
-block, times ``e^(2 pi i t k)`` from a table built once for k < ``_CHUNK``.
-Both angles are reduced by ``fractional_turns`` (``t - floor(t)``,
-``np.mod`` bit for bit), so a power carries the rounding of ``lo t`` and of
-``k t`` plus about 2 ulp of one complex product: the order of the rounding
-of ``(lo + k) t`` that reducing each power alone carried.
+Every exact period comes from ``_period_within`` alone, and every such
+closed form from ``_spectral_profile`` alone, given the Gram data of the
+family: ``d^2 = a^H G a - 2 Re(h^H a) + |x|^2`` with ``a_j = mu_j^m``,
+``G = V^H V`` and ``h = V^H x``.  Its angles are reduced by
+``fractional_turns`` (``np.mod`` bit for bit), and its error in ``d^2`` is
+absolute, so a distance near 0 can read up to about 1e-8 |x|.
 An exact x under a diagonal of exactly unimodular entries keeps every
 coordinate modulus, so ``orbit_norms`` repeats its norm (``_isometric``).
 The greedy net of ``totally_bounded_probe`` keeps its centres in one array
@@ -368,30 +364,59 @@ def _rowstate_profile(base: RowRotation, factor, stride: int, x: Vector,
     return DistanceProfile(first + extra, N, exact=True)
 
 
-# -- eigenvalue powers -------------------------------------------------------
+# -- spectral closed forms ---------------------------------------------------
 
-def _eigen_powers(mod: float, turns: float, step: int, count: int, start: int = 0):
-    """``(mod e^(2 pi i turns))^m`` for ``m = start + step k``, 0 <= k < count,
-    as ``(lo, hi, radius, unit)`` per block of ``_CHUNK`` indices k.
+def _spectral_profile(mods, turns, gram: np.ndarray, h: np.ndarray, x2: float,
+                      step: int, count: int, start: int = 0) -> np.ndarray:
+    """``|sum_j mu_j^m v_j - x|`` for ``m = start + step k``, k < count, from
+    Gram data alone: ``d^2 = a^H G a - 2 Re(h^H a) + x2``, ``a_j = mu_j^m``,
+    with ``mu_j = mods_j e^(2 pi i turns_j)``, ``gram`` the ``G = V^H V`` (its
+    diagonal, as a vector, for an orthogonal family) and ``h = V^H x``.
 
-    The unit is a block-start unit times one table built once,
-    ``e^(2 pi i t (m0 + step j)) = e^(2 pi i t m0) e^(2 pi i t step j)``
-    for j < ``_CHUNK``, both angles reduced by ``fractional_turns`` before
-    they are scaled, so unimodular powers never drift.  The radius is None
-    for a modulus within 1e-15 of 1 (the unit is the power), else
-    ``mod^m`` clipped so that its square stays finite (anything this large
-    is out of any ball); a zero modulus gives a vanishing radius for m > 0.
+    ``a_j`` is a radius times a block-start unit ``u0_j`` times one table of
+    ``_CHUNK`` units, both angles reduced by ``fractional_turns`` one
+    eigenvalue at a time.  The radius is 1 for a modulus within 1e-15 of 1,
+    else ``mod^m`` clipped to ``[e^-745, e^340]`` (its square stays finite;
+    anything this large is out of any ball).  For an orthogonal family the
+    unimodular cross terms ``r_j Re(conj(h_j) u0_j table_j)`` fold into one
+    real matrix product over the table rows; otherwise ``a`` is the table
+    rows turned by one real rotation per block.
+
+    The error of ``d^2`` is absolute, a few ulp of ``|x|^2`` and of
+    ``a^H G a``: a distance near 0 can read up to about 1e-8 |x|, so a
+    decision ``d < eps`` can move only for eps below about 1e-6 |x|.
     """
-    k = np.arange(min(_CHUNK, count), dtype=np.float64)
-    table = _unit(fractional_turns(k * step, turns))
-    log_mod = None if abs(mod - 1.0) < 1e-15 else math.log(max(mod, 1e-300))
+    k = np.arange(min(_CHUNK, count), dtype=np.float64) * step
+    table = np.array([_unit(fractional_turns(k, t)) for t in turns])
+    rows, d = np.concatenate((table.real, table.imag)), len(turns)
+    logs = [None if abs(mod - 1.0) < 1e-15 else math.log(max(mod, 1e-300)) for mod in mods]
+    radial = [(j, log) for j, log in enumerate(logs) if log is not None]
+    unimodular = np.array([log is None for log in logs])
+    if gram.ndim == 1:
+        const = x2 + float(gram[unimodular].sum())
+    else:
+        g_real = np.block([[gram.real, -gram.imag], [gram.imag, gram.real]])
+        h_real = np.concatenate((h.real, h.imag))
+    out = np.empty(count, dtype=np.float64)
     for lo, hi in _blocks(count - 1):
-        unit = _unit(fractional_turns(start + step * lo, turns)) * table[:hi - lo]
-        if log_mod is None:
-            yield lo, hi, None, unit
-        else:
-            m = np.arange(lo, hi, dtype=np.float64) * step + start
-            yield lo, hi, np.exp(np.clip(m * log_mod, -745.0, 340.0)), unit
+        tab = rows[:, :hi - lo]
+        u0 = np.array([_unit(fractional_turns(start + step * lo, t)) for t in turns])
+        m = np.arange(lo, hi, dtype=np.float64) * step + start if radial else None
+        radii = [(j, np.exp(np.clip(m * log, -745.0, 340.0))) for j, log in radial]
+        if gram.ndim == 1:
+            c = np.conj(h) * u0
+            cu = np.where(unimodular, c, 0)
+            d2 = np.concatenate((-2.0 * cu.real, 2.0 * cu.imag)) @ tab + const
+            for j, r in radii:
+                d2 += r * (gram[j] * r - 2.0 * (c[j].real * tab[j] - c[j].imag * tab[d + j]))
+        else:                          # a as its real rows over its imaginary rows
+            re, im = np.diag(u0.real), np.diag(u0.imag)
+            a = np.block([[re, -im], [im, re]]) @ tab
+            for j, r in radii:
+                a[j::d] *= r
+            d2 = (a * (g_real @ a)).sum(axis=0) - 2.0 * (h_real @ a) + x2
+        np.sqrt(np.maximum(d2, 0.0, out=d2), out=out[lo:hi])
+    return out
 
 
 def _unit(t):
@@ -407,64 +432,44 @@ def fractional_turns(m: np.ndarray, turns: float) -> np.ndarray:
     return t
 
 
-# -- diagonal closed form ----------------------------------------------------
-
-def _diagonal_profile(op: Diagonal, factor, stride: int, x: Vector,
-                      seminorms: tuple[int, ...], N: int) -> Optional[DistanceProfile]:
-    """l2 distance of a diagonal (optionally scaled) orbit, vectorized in n.
-
-    Coordinate j contributes |x_j|^2 |f^n lam_j^n - 1|^2.
-    """
-    if not (_l2_like(op.space) and isinstance(x, SparseVector)):
-        return None
-    f_c = to_complex(factor) if factor is not None else 1.0 + 0j
-    total = np.zeros(N + 1, dtype=np.float64)
-    for idx, v in x.entries:
-        lam_c = to_complex(op.entry(idx))
-        turns = (cmath.phase(lam_c) + cmath.phase(f_c)) / (2 * math.pi)
-        weight = float(vabs(v)) ** 2
-        for lo, hi, r, p in _eigen_powers(abs(lam_c) * abs(f_c), turns, stride, N + 1):
-            if r is None:
-                total[lo:hi] += weight * (2.0 - 2.0 * p.real)
-            else:
-                total[lo:hi] += weight * (r * r - 2.0 * r * p.real + 1.0)
-    out = np.sqrt(np.maximum(total, 0.0, out=total), out=total)
-    out[0] = 0.0
-    return DistanceProfile(out, N, exact=False)
-
-
 def _blocks(N: int):
     """``(lo, hi)`` bounds of consecutive blocks of ``_CHUNK`` indices covering 0..N."""
     return ((lo, min(lo + _CHUNK, N + 1)) for lo in range(0, N + 1, _CHUNK))
 
 
-# -- matrix closed form ------------------------------------------------------
+def _diagonal_profile(op: Diagonal, factor, stride: int, x: Vector,
+                      seminorms: tuple[int, ...], N: int) -> Optional[DistanceProfile]:
+    """l2 distance of a diagonal (optionally scaled) orbit: the orthogonal
+    family ``v_j = x_j e_j`` with ``mu_j = f lam_j``, whose Gram diagonal
+    and ``h`` are both ``|x_j|^2``."""
+    if not (_l2_like(op.space) and isinstance(x, SparseVector)):
+        return None
+    f_c = to_complex(factor) if factor is not None else 1.0 + 0j
+    lam = [to_complex(op.entry(i)) for i in x.support]
+    w = np.array([float(vabs(v)) ** 2 for _, v in x.entries])
+    out = _spectral_profile([abs(z) * abs(f_c) for z in lam],
+                            [(cmath.phase(z) + cmath.phase(f_c)) / (2 * math.pi) for z in lam],
+                            w, w, float(w.sum()), stride, N + 1)
+    out[0] = 0.0
+    return DistanceProfile(out, N, exact=False)
+
 
 def _matrix_profile(base: Matrix, factor, stride: int, x: Vector,
                     seminorms: tuple[int, ...], N: int) -> Optional[DistanceProfile]:
-    """l2 distance of a diagonalizable matrix orbit: with ``A = S diag(lam) S^-1``
-    and ``c = S^-1 x``, ``A^m x - x = (S diag(c)) lam^m - x``, with the powers
-    held as one row per eigenvalue, a block of n at a time."""
-    mat = base if factor is None else Matrix.from_array(to_complex(factor) * base.array)
-    if mat.eigen_system is None:
+    """l2 distance of a diagonalizable matrix orbit, optionally scaled by f:
+    with ``A = S diag(lam) S^-1`` the family is ``V = S diag(S^-1 x)`` and
+    ``mu = f lam``, from the base's one cached eigen system."""
+    if base.eigen_system is None:
         return None if factor is not None else _stepped_matrix_profile(
-            mat, stride, x, seminorms, N)
-    S, lam, Sinv, _ = mat.eigen_system
-    x_dense = x.to_dense(mat.n)
-    sc = S * (Sinv @ x_dense)
-    powers = [_eigen_powers(mod, turns, stride, N + 1)
-              for mod, turns in zip(np.abs(lam), np.angle(lam) / (2 * math.pi))]
-    out = np.empty(N + 1, dtype=np.float64)
-    rows = np.empty((mat.n, min(_CHUNK, N + 1)), dtype=np.complex128)
-    diffs = np.empty_like(rows)
-    for block in zip(*powers):
-        lo, hi = block[0][:2]
-        p, d = rows[:, :hi - lo], diffs[:, :hi - lo]
-        for j, (_, _, r, unit) in enumerate(block):
-            np.multiply(1.0 if r is None else r, unit, out=p[j])
-        np.matmul(sc, p, out=d)
-        d -= x_dense[:, None]
-        np.sqrt(_square_sums(d.T), out=out[lo:hi])
+            base, stride, x, seminorms, N)
+    S, lam, Sinv, _ = base.eigen_system
+    f_c = to_complex(factor) if factor is not None else 1.0 + 0j
+    x_dense = x.to_dense(base.n)
+    vh = (S * (Sinv @ x_dense)).conj().T
+    out = _spectral_profile(np.abs(lam) * abs(f_c),
+                            (np.angle(lam) + cmath.phase(f_c)) / (2 * math.pi),
+                            vh @ vh.conj().T, vh @ x_dense,
+                            float(np.vdot(x_dense, x_dense).real), stride, N + 1)
     out[0] = 0.0
     return DistanceProfile(out, N, exact=False)
 
@@ -548,42 +553,35 @@ def scaled_profile(states: Sequence[SparseVector], factor, stride: int,
     """Distances for ``(factor T)^(stride n) x`` when the powered base orbit
     ``T^(stride n) x`` cycles exactly through ``states`` (``states[0] = x``).
 
-    With s_r the r-th state of the cycle, the squared distance at step n
-    (r = n mod period, total scalar exponent m = stride n) is
-
-        |f|^2m |s_r|^2 - 2 Re(f^m <s_r, x>) + |x|^2,
-
-    evaluated per residue class, ``_CHUNK`` indices at a time.
+    Residue class r of n modulo the period is the one state s_r with
+    ``mu = f^(stride period)`` from ``m = stride r``: its Gram data
+    ``|s_r|^2`` and ``<x, s_r>`` come from the sparse states.  A class whose
+    state (or x) leaves float range is at distance +inf, since the true
+    distance is at least ``|s_r| - |x|``.
     """
-    x = states[0]
-    period = len(states)
+    coords = [_float_coords(s) for s in states[:N + 1]]
+    sq = [math.inf if c is None else sum(v.real * v.real + v.imag * v.imag for v in c.values())
+          for c in coords]
+    x, x2, period = coords[0], sq[0], len(states)
     f_c = to_complex(factor)
-    mod, turns = abs(f_c), cmath.phase(f_c) / (2 * math.pi)
-    x2 = float(_norm2(x))
-    out = np.empty(N + 1, dtype=np.float64)
-    for r, s in enumerate(states):
-        inner, s2 = _inner(s, x), float(_norm2(s))
-        for lo, hi, radial, p in _eigen_powers(mod, turns, stride * period,
-                                               len(range(r, N + 1, period)), stride * r):
-            re = p.real * inner.real - p.imag * inner.imag
-            d2 = (s2 - 2.0 * re if radial is None
-                  else radial * radial * s2 - 2.0 * radial * re) + x2
-            out[r + lo * period:r + hi * period:period] = np.sqrt(np.maximum(d2, 0.0))
+    mods, turns = [abs(f_c)], [cmath.phase(f_c) / (2 * math.pi)]
+    out = np.full(N + 1, math.inf)
+    for r, (s, s2) in enumerate(zip(coords, sq)):
+        if math.isfinite(s2 + x2):
+            h = sum((c.conjugate() * x[i] for i, c in s.items() if i in x), 0j)
+            out[r::period] = _spectral_profile(mods, turns, np.array([s2]), np.array([h]), x2,
+                                               stride * period, len(range(r, N + 1, period)),
+                                               stride * r)
     out[0] = 0.0
     return DistanceProfile(out, N, exact=False)
 
 
-def _norm2(x: SparseVector) -> float:
-    return sum(abs(to_complex(v)) ** 2 for _, v in x.entries)
-
-
-def _inner(a: SparseVector, b: SparseVector) -> complex:
-    bd = b.as_dict
-    out = 0j
-    for i, v in a.entries:
-        if i in bd:
-            out += to_complex(v) * to_complex(bd[i]).conjugate()
-    return out
+def _float_coords(x: SparseVector) -> Optional[dict]:
+    """index -> complex coordinate, or None when one leaves float range."""
+    try:
+        return {i: to_complex(v) for i, v in x.entries}
+    except OverflowError:
+        return None
 
 
 # ---------------------------------------------------------------------------

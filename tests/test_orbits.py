@@ -231,6 +231,20 @@ class TestProfiles:
             "assert recs[0].window.count > recs[1].window.count > 1\n")
         assert grown <= 40.0, f"peak RSS grew by {grown} MiB"
 
+    def test_scaled_block_cycle_past_float_range_fills_blocks(self):
+        # a block-2^12 cycle under an irrational unimodular factor: its 4096
+        # states stay sparse, and the classes past float range read +inf
+        grown = peak_growth_mib(
+            "import math\n"
+            "from fractions import Fraction\n"
+            "from recurlab import BlockCycle, Phase, Scaled, SequenceLp, SparseVector, return_sets\n"
+            "op = Scaled(BlockCycle(), Phase(Fraction(1), math.sqrt(5) % 1.0))\n"
+            "x = SparseVector.from_pairs(SequenceLp(2), [(4099, Fraction(1)), (4103, Fraction(-1, 2))])\n"
+            "return_sets(op, SparseVector.unit(SequenceLp(2), 9), [Fraction(1, 2)], (0,), 10)\n",
+            "recs = return_sets(op, x, [Fraction(1, 2)], (0,), 1 << 16)\n"
+            "assert recs[0].window.count > 1\n")
+        assert grown <= 40.0, f"peak RSS grew by {grown} MiB"
+
     def test_periodic_profile_tiles(self):
         prof = distance_profile(BlockCycle(), SparseVector.unit(L2, 9), (0,), 64)
         assert prof.period == 8

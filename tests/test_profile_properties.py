@@ -501,3 +501,42 @@ def test_closed_forms_agree_past_the_first_block(case):
     with lagging_block_starts():
         errors = block_errors(case)
     assert errors.max() > 1e-3
+
+
+def test_matrix_distance_near_zero_stays_within_the_gram_error():
+    # eigenvalues float seventh roots of unity, so T^7 x = x up to rounding:
+    # d(7k) is the Gram form's rounding alone, about 1e-8 |x| at most
+    op, x = conjugated([1 / 7, 3 / 7]), SparseVector.unit(FiniteDim(2), 1)
+    prof, taken = strategy_taken(op, x, (0,), BLOCKS_N)
+    assert taken == ["_matrix_profile"]
+    sevens = np.arange(0, BLOCKS_N + 1, 7)
+    assert np.asarray(prof.values)[sevens].max() <= 1e-7      # |x| = 1
+    assert set(sevens.tolist()) <= prof.window(Fraction(1, 10 ** 6)).member_set
+
+
+def test_scaled_matrix_reuses_the_eigen_system_of_its_base():
+    op = Scaled(conjugated([0.71, 0.93]), Phase(Fraction(1), GOLDEN))
+    x = SparseVector.unit(FiniteDim(2), 1)
+    first = distance_profile(op, x, (0,), N)
+    with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig:
+        prof, taken = strategy_taken(op, x, (0,))
+    assert taken == ["_matrix_profile"] and eig.call_count == 0
+    assert np.array_equal(prof.values, first.values)
+
+
+@pytest.mark.parametrize("j", [10, 11, 12])
+def test_scaled_block_cycle_past_float_range(j):
+    # the states of a block-2^j cycle carry weights up to 2^(2^j - 1): from
+    # j = 10 on their squares, and from j = 11 on the weights themselves,
+    # leave float range; such a class is out of every ball, and for n off
+    # the period an entry of x stays uncovered, so d > 1/2 there
+    block, theta = 1 << j, math.sqrt(5) % 1.0
+    x = l2((block + 3, Fraction(1)), (block + 7, Fraction(-1, 2)))
+    op = Scaled(BlockCycle(), Phase(Fraction(1), theta))
+    horizon = 16 * block
+    prof, taken = strategy_taken(op, x, (0,), horizon)
+    assert taken == ["scaled_profile"]
+    m = np.arange(0, horizon + 1, block)
+    near = np.abs(exact_units([theta], m) - 1.0) * math.sqrt(5) / 2 < 0.5
+    assert near.sum() > 2
+    assert prof.window(Fraction(1, 2)).elements == tuple(m[near].tolist())
