@@ -281,8 +281,8 @@ class Operator:
     The module-level ``apply``, ``power_apply`` and ``exact_state_period``
     are the entry points that call them.  A closed-form distance profile is
     optional: one entry, keyed by the operator's type, in
-    ``orbits._FAST_PATHS``; a spectral one only builds the Gram data that
-    ``orbits._spectral_profile`` evaluates.
+    ``orbits._FAST_PATHS``; a spectral one takes its eigenvalue powers from
+    ``orbits._spectral_powers``.
     """
 
     def period_bound(self, x: Vector) -> Optional[int]:

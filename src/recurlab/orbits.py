@@ -28,11 +28,11 @@ the cheapest sound strategy:
   operator is linear, so the remaining values all equal ``p_i(x)``.
 
 Every exact period comes from ``_period_within`` alone, and every such
-closed form from ``_spectral_profile`` alone, given the Gram data of the
-family: ``d^2 = a^H G a - 2 Re(h^H a) + |x|^2`` with ``a_j = mu_j^m``,
-``G = V^H V`` and ``h = V^H x``.  Its angles are reduced by
-``fractional_turns`` (``np.mod`` bit for bit), and its error in ``d^2`` is
-absolute, so a distance near 0 can read up to about 1e-8 |x|.
+closed form takes ``mu_j^m`` from ``_spectral_powers`` alone, its angles
+reduced by ``fractional_turns`` (``np.mod`` bit for bit).  Diagonals and
+scaled cycles are orthogonal families, read off ``|v_j|^2`` and ``v_j^H x``
+by ``_orthogonal_profile`` (a distance near 0 can read up to about
+1e-8 |x|); a matrix sums the squares of ``V a - x``, accurate near 0.
 An exact x under a diagonal of exactly unimodular entries keeps every
 coordinate modulus, so ``orbit_norms`` repeats its norm (``_isometric``).
 The greedy net of ``totally_bounded_probe`` keeps its centres in one array
@@ -72,6 +72,7 @@ __all__ = [
 
 _PERIOD_CAP = 1 << 22
 _CHUNK = 1 << 14            # indices n per block of a closed-form or dense profile
+_GROUP = 16                 # eigenvalues per table of an orthogonal closed form
 
 
 @dataclass(frozen=True)
@@ -366,57 +367,29 @@ def _rowstate_profile(base: RowRotation, factor, stride: int, x: Vector,
 
 # -- spectral closed forms ---------------------------------------------------
 
-def _spectral_profile(mods, turns, gram: np.ndarray, h: np.ndarray, x2: float,
-                      step: int, count: int, start: int = 0) -> np.ndarray:
-    """``|sum_j mu_j^m v_j - x|`` for ``m = start + step k``, k < count, from
-    Gram data alone: ``d^2 = a^H G a - 2 Re(h^H a) + x2``, ``a_j = mu_j^m``,
-    with ``mu_j = mods_j e^(2 pi i turns_j)``, ``gram`` the ``G = V^H V`` (its
-    diagonal, as a vector, for an orthogonal family) and ``h = V^H x``.
-
-    ``a_j`` is a radius times a block-start unit ``u0_j`` times one table of
-    ``_CHUNK`` units, both angles reduced by ``fractional_turns`` one
-    eigenvalue at a time.  The radius is 1 for a modulus within 1e-15 of 1,
-    else ``mod^m`` clipped to ``[e^-745, e^340]`` (its square stays finite;
-    anything this large is out of any ball).  For an orthogonal family the
-    unimodular cross terms ``r_j Re(conj(h_j) u0_j table_j)`` fold into one
-    real matrix product over the table rows; otherwise ``a`` is the table
-    rows turned by one real rotation per block.
-
-    The error of ``d^2`` is absolute, a few ulp of ``|x|^2`` and of
-    ``a^H G a``: a distance near 0 can read up to about 1e-8 |x|, so a
-    decision ``d < eps`` can move only for eps below about 1e-6 |x|.
-    """
+def _spectral_powers(mods, turns, step: int, count: int, start: int = 0):
+    """``mu_j^m = mods_j^m e^(2 pi i turns_j m)`` for ``m = start + step k``,
+    k < count, as ``(lo, hi, u0, rows, radial)`` per block of ``_CHUNK``:
+    ``mu_j^m = u0_j (rows_j + i rows_(d+j))``, with ``u0_j`` a block-start
+    unit and ``rows`` one table of units shared by every block, times
+    ``mods_j^m`` for each j in ``radial``.  Both angles are reduced by
+    ``fractional_turns`` one eigenvalue at a time.  A modulus within 1e-15
+    of 1 counts as 1; other powers are clipped to ``[e^-745, e^340]``, whose
+    squares stay finite (anything this large is out of any ball)."""
     k = np.arange(min(_CHUNK, count), dtype=np.float64) * step
-    table = np.array([_unit(fractional_turns(k, t)) for t in turns])
-    rows, d = np.concatenate((table.real, table.imag)), len(turns)
-    logs = [None if abs(mod - 1.0) < 1e-15 else math.log(max(mod, 1e-300)) for mod in mods]
-    radial = [(j, log) for j, log in enumerate(logs) if log is not None]
-    unimodular = np.array([log is None for log in logs])
-    if gram.ndim == 1:
-        const = x2 + float(gram[unimodular].sum())
-    else:
-        g_real = np.block([[gram.real, -gram.imag], [gram.imag, gram.real]])
-        h_real = np.concatenate((h.real, h.imag))
-    out = np.empty(count, dtype=np.float64)
+    units = np.array([_unit(fractional_turns(k, t)) for t in turns])
+    units = np.concatenate((units.real, units.imag))
+    logs = {j: math.log(max(mod, 1e-300)) for j, mod in enumerate(mods)
+            if abs(mod - 1.0) >= 1e-15}
     for lo, hi in _blocks(count - 1):
-        tab = rows[:, :hi - lo]
         u0 = np.array([_unit(fractional_turns(start + step * lo, t)) for t in turns])
-        m = np.arange(lo, hi, dtype=np.float64) * step + start if radial else None
-        radii = [(j, np.exp(np.clip(m * log, -745.0, 340.0))) for j, log in radial]
-        if gram.ndim == 1:
-            c = np.conj(h) * u0
-            cu = np.where(unimodular, c, 0)
-            d2 = np.concatenate((-2.0 * cu.real, 2.0 * cu.imag)) @ tab + const
-            for j, r in radii:
-                d2 += r * (gram[j] * r - 2.0 * (c[j].real * tab[j] - c[j].imag * tab[d + j]))
-        else:                          # a as its real rows over its imaginary rows
-            re, im = np.diag(u0.real), np.diag(u0.imag)
-            a = np.block([[re, -im], [im, re]]) @ tab
-            for j, r in radii:
-                a[j::d] *= r
-            d2 = (a * (g_real @ a)).sum(axis=0) - 2.0 * (h_real @ a) + x2
-        np.sqrt(np.maximum(d2, 0.0, out=d2), out=out[lo:hi])
-    return out
+        rows = units[:, :hi - lo]
+        if logs:
+            m = np.arange(lo, hi, dtype=np.float64) * step + start
+            rows = rows.copy()
+            for j, log in logs.items():          # rows j and d + j
+                rows[j::len(mods)] *= np.exp(np.clip(m * log, -745.0, 340.0))
+        yield lo, hi, u0, rows, list(logs)
 
 
 def _unit(t):
@@ -437,19 +410,41 @@ def _blocks(N: int):
     return ((lo, min(lo + _CHUNK, N + 1)) for lo in range(0, N + 1, _CHUNK))
 
 
+def _orthogonal_profile(mods, turns, w: np.ndarray, h: np.ndarray, x2: float,
+                        step: int, count: int, start: int = 0) -> np.ndarray:
+    """``|sum_j a_j v_j - x|``, ``a_j = mu_j^m``, over an orthogonal family,
+    from ``w_j = |v_j|^2``, ``h_j = v_j^H x`` and ``x2 = |x|^2`` alone:
+    ``d^2 = x2 + sum_j (w_j |a_j|^2 - 2 Re(conj(h_j) a_j))``, the cross terms
+    folded into one real product per block, ``_GROUP`` eigenvalues at a time
+    so that the tables stay bounded.  Its error is absolute, a few ulp of
+    ``x2``: a distance near 0 can read up to about 1e-8 |x|, which moves a
+    decision ``d < eps`` only for eps below about 1e-6 |x|."""
+    d2 = np.full(count, x2)
+    for g in range(0, len(turns), _GROUP):
+        wg, hg = w[g:g + _GROUP], h[g:g + _GROUP]
+        for lo, hi, u0, rows, radial in _spectral_powers(mods[g:g + _GROUP], turns[g:g + _GROUP],
+                                                         step, count, start):
+            c = np.conj(hg) * u0
+            block = d2[lo:hi]
+            block += np.concatenate((-2.0 * c.real, 2.0 * c.imag)) @ rows
+            block += float(np.delete(wg, radial).sum())
+            for j in radial:
+                block += wg[j] * (rows[j] * rows[j] + rows[len(c) + j] * rows[len(c) + j])
+    return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+
+
 def _diagonal_profile(op: Diagonal, factor, stride: int, x: Vector,
                       seminorms: tuple[int, ...], N: int) -> Optional[DistanceProfile]:
-    """l2 distance of a diagonal (optionally scaled) orbit: the orthogonal
-    family ``v_j = x_j e_j`` with ``mu_j = f lam_j``, whose Gram diagonal
-    and ``h`` are both ``|x_j|^2``."""
+    """l2 distance of a diagonal (optionally scaled) orbit: the orthogonal family
+    ``v_j = x_j e_j``, ``mu_j = f lam_j``, with ``w_j = h_j = |x_j|^2``."""
     if not (_l2_like(op.space) and isinstance(x, SparseVector)):
         return None
     f_c = to_complex(factor) if factor is not None else 1.0 + 0j
     lam = [to_complex(op.entry(i)) for i in x.support]
     w = np.array([float(vabs(v)) ** 2 for _, v in x.entries])
-    out = _spectral_profile([abs(z) * abs(f_c) for z in lam],
-                            [(cmath.phase(z) + cmath.phase(f_c)) / (2 * math.pi) for z in lam],
-                            w, w, float(w.sum()), stride, N + 1)
+    out = _orthogonal_profile([abs(z) * abs(f_c) for z in lam],
+                              [(cmath.phase(z) + cmath.phase(f_c)) / (2 * math.pi) for z in lam],
+                              w, w, float(w.sum()), stride, N + 1)
     out[0] = 0.0
     return DistanceProfile(out, N, exact=False)
 
@@ -457,19 +452,24 @@ def _diagonal_profile(op: Diagonal, factor, stride: int, x: Vector,
 def _matrix_profile(base: Matrix, factor, stride: int, x: Vector,
                     seminorms: tuple[int, ...], N: int) -> Optional[DistanceProfile]:
     """l2 distance of a diagonalizable matrix orbit, optionally scaled by f:
-    with ``A = S diag(lam) S^-1`` the family is ``V = S diag(S^-1 x)`` and
-    ``mu = f lam``, from the base's one cached eigen system."""
+    ``T^m x = V a`` with ``V = S diag(S^-1 x)`` and ``a_j = (f lam_j)^m``, from
+    the base's one cached eigen system ``A = S diag(lam) S^-1``.  Per block
+    ``V diag(u0)``, as one real matrix, times the power rows, minus x, is
+    summed in squares, so a distance near 0 stays accurate."""
     if base.eigen_system is None:
         return None if factor is not None else _stepped_matrix_profile(
             base, stride, x, seminorms, N)
     S, lam, Sinv, _ = base.eigen_system
     f_c = to_complex(factor) if factor is not None else 1.0 + 0j
     x_dense = x.to_dense(base.n)
-    vh = (S * (Sinv @ x_dense)).conj().T
-    out = _spectral_profile(np.abs(lam) * abs(f_c),
-                            (np.angle(lam) + cmath.phase(f_c)) / (2 * math.pi),
-                            vh @ vh.conj().T, vh @ x_dense,
-                            float(np.vdot(x_dense, x_dense).real), stride, N + 1)
+    v, x_rows = S * (Sinv @ x_dense), np.concatenate((x_dense.real, x_dense.imag))[:, None]
+    out = np.empty(N + 1, dtype=np.float64)
+    for lo, hi, u0, rows, _ in _spectral_powers(
+            np.abs(lam) * abs(f_c), (np.angle(lam) + cmath.phase(f_c)) / (2 * math.pi),
+            stride, N + 1):
+        vu = v * u0
+        diff = np.block([[vu.real, -vu.imag], [vu.imag, vu.real]]) @ rows - x_rows
+        np.sqrt((diff * diff).sum(axis=0), out=out[lo:hi])
     out[0] = 0.0
     return DistanceProfile(out, N, exact=False)
 
@@ -553,35 +553,36 @@ def scaled_profile(states: Sequence[SparseVector], factor, stride: int,
     """Distances for ``(factor T)^(stride n) x`` when the powered base orbit
     ``T^(stride n) x`` cycles exactly through ``states`` (``states[0] = x``).
 
-    Residue class r of n modulo the period is the one state s_r with
-    ``mu = f^(stride period)`` from ``m = stride r``: its Gram data
-    ``|s_r|^2`` and ``<x, s_r>`` come from the sparse states.  A class whose
-    state (or x) leaves float range is at distance +inf, since the true
-    distance is at least ``|s_r| - |x|``.
-    """
-    coords = [_float_coords(s) for s in states[:N + 1]]
-    sq = [math.inf if c is None else sum(v.real * v.real + v.imag * v.imag for v in c.values())
-          for c in coords]
-    x, x2, period = coords[0], sq[0], len(states)
-    f_c = to_complex(factor)
-    mods, turns = [abs(f_c)], [cmath.phase(f_c) / (2 * math.pi)]
+    Residue class r of n modulo the period is an orthogonal family of one,
+    the state s_r with ``mu = f^(stride period)`` from ``m = stride r``.  A
+    class whose ``|s_r|^2`` leaves float range is at distance +inf when
+    ``|f| >= 1`` (as ``|f^m s_r - x| >= |s_r| - |x|``) and raises
+    OverflowError when ``|f| < 1``, as an x out of float range does."""
+    grams = [_float_state(s) for s in states[:N + 1]]
+    (x, x2), period, f_c = grams[0], len(states), to_complex(factor)
     out = np.full(N + 1, math.inf)
-    for r, (s, s2) in enumerate(zip(coords, sq)):
-        if math.isfinite(s2 + x2):
-            h = sum((c.conjugate() * x[i] for i, c in s.items() if i in x), 0j)
-            out[r::period] = _spectral_profile(mods, turns, np.array([s2]), np.array([h]), x2,
-                                               stride * period, len(range(r, N + 1, period)),
-                                               stride * r)
+    for r, (s, s2) in enumerate(grams):
+        if not math.isfinite(s2):
+            if r == 0 or vabs(factor) < 1:
+                raise OverflowError(f"state {r} of the cycle leaves float range")
+            continue
+        h = sum((c.conjugate() * x[i] for i, c in s.items() if i in x), 0j)
+        out[r::period] = _orthogonal_profile([abs(f_c)], [cmath.phase(f_c) / (2 * math.pi)],
+                                             np.array([s2]), np.array([h]), x2,
+                                             stride * period, len(range(r, N + 1, period)),
+                                             stride * r)
     out[0] = 0.0
     return DistanceProfile(out, N, exact=False)
 
 
-def _float_coords(x: SparseVector) -> Optional[dict]:
-    """index -> complex coordinate, or None when one leaves float range."""
+def _float_state(x: SparseVector) -> tuple[dict, float]:
+    """``(index -> complex coordinate, |x|^2)``, or ``({}, inf)`` when a
+    coordinate leaves float range."""
     try:
-        return {i: to_complex(v) for i, v in x.entries}
+        c = {i: to_complex(v) for i, v in x.entries}
     except OverflowError:
-        return None
+        return {}, math.inf
+    return c, sum(v.real * v.real + v.imag * v.imag for v in c.values())
 
 
 # ---------------------------------------------------------------------------

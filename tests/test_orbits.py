@@ -231,6 +231,19 @@ class TestProfiles:
             "assert recs[0].window.count > recs[1].window.count > 1\n")
         assert grown <= 40.0, f"peak RSS grew by {grown} MiB"
 
+    def test_wide_diagonal_profile_fills_blocks(self):
+        # 200 coordinates at N = 10^6: the unit tables go _GROUP eigenvalues
+        # at a time, so the peak does not grow with the support of x
+        grown = peak_growth_mib(
+            "from fractions import Fraction\n"
+            "from recurlab import Diagonal, Rule, SequenceLp, SparseVector, return_sets\n"
+            "op = Diagonal(turns=Rule('sqrt(2)*n'))\n"
+            "x = SparseVector.from_pairs(SequenceLp(2), [(i, Fraction(1, i)) for i in range(1, 201)])\n"
+            "return_sets(op, x, [Fraction(1, 2)], (0,), 10)\n",
+            "recs = return_sets(op, x, [Fraction(1, 2), Fraction(1, 5)], (0,), 10 ** 6)\n"
+            "assert recs[0].window.count > recs[1].window.count > 1\n")
+        assert grown <= 40.0, f"peak RSS grew by {grown} MiB"
+
     def test_scaled_block_cycle_past_float_range_fills_blocks(self):
         # a block-2^12 cycle under an irrational unimodular factor: its 4096
         # states stay sparse, and the classes past float range read +inf

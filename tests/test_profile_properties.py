@@ -503,14 +503,15 @@ def test_closed_forms_agree_past_the_first_block(case):
     assert errors.max() > 1e-3
 
 
-def test_matrix_distance_near_zero_stays_within_the_gram_error():
+def test_matrix_distance_near_zero_stays_accurate():
     # eigenvalues float seventh roots of unity, so T^7 x = x up to rounding:
-    # d(7k) is the Gram form's rounding alone, about 1e-8 |x| at most
+    # summing the squares of V a - x keeps d(7k) at the angle error, about
+    # 5e-12 here, far below the 1e-8 |x| a Gram form could read
     op, x = conjugated([1 / 7, 3 / 7]), SparseVector.unit(FiniteDim(2), 1)
     prof, taken = strategy_taken(op, x, (0,), BLOCKS_N)
     assert taken == ["_matrix_profile"]
     sevens = np.arange(0, BLOCKS_N + 1, 7)
-    assert np.asarray(prof.values)[sevens].max() <= 1e-7      # |x| = 1
+    assert np.asarray(prof.values)[sevens].max() <= 1e-10      # |x| = 1
     assert set(sevens.tolist()) <= prof.window(Fraction(1, 10 ** 6)).member_set
 
 
@@ -540,3 +541,17 @@ def test_scaled_block_cycle_past_float_range(j):
     near = np.abs(exact_units([theta], m) - 1.0) * math.sqrt(5) / 2 < 0.5
     assert near.sum() > 2
     assert prof.window(Fraction(1, 2)).elements == tuple(m[near].tolist())
+
+
+def test_contracted_block_cycle_past_float_range_is_never_inf():
+    # (T/2)^n e_1027 = e_(1027 + n) for n < 1021, then 2^-1024 e_(n - 1021 + 1024):
+    # a bounded orbit whose unscaled states leave float range from n = 512
+    # on, where |s_r| - |x| bounds nothing; the profile must be right or raise
+    op, x = Scaled(BlockCycle(), Fraction(1, 2)), l2((1027, Fraction(1)))
+    try:
+        prof = distance_profile(op, x, (0,), 1100)
+    except OverflowError:
+        return
+    expected = np.where(np.arange(1101) < 1021, math.sqrt(2), 1.0)
+    expected[0] = 0.0
+    assert np.allclose(prof.values, expected, rtol=1e-9, atol=0)
