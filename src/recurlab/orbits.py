@@ -370,8 +370,8 @@ def _rowstate_profile(base: RowRotation, factor, stride: int, x: Vector,
 def _spectral_powers(mods, turns, step: int, count: int, start: int = 0):
     """``mu_j^m = mods_j^m e^(2 pi i turns_j m)`` for ``m = start + step k``,
     k < count, as ``(lo, hi, u0, rows, radial)`` per block of ``_CHUNK``:
-    ``mu_j^m = u0_j (rows_j + i rows_(d+j))``, with ``u0_j`` a block-start
-    unit and ``rows`` one table of units shared by every block, times
+    ``mu_j^m = u0_j (rows_j + i rows_(d+j))`` over d eigenvalues, ``u0_j`` a
+    block-start unit and ``rows`` one table of units shared by all blocks, times
     ``mods_j^m`` for each j in ``radial``.  Both angles are reduced by
     ``fractional_turns`` one eigenvalue at a time.  A modulus within 1e-15
     of 1 counts as 1; other powers are clipped to ``[e^-745, e^340]``, whose
@@ -462,7 +462,8 @@ def _matrix_profile(base: Matrix, factor, stride: int, x: Vector,
     S, lam, Sinv, _ = base.eigen_system
     f_c = to_complex(factor) if factor is not None else 1.0 + 0j
     x_dense = x.to_dense(base.n)
-    v, x_rows = S * (Sinv @ x_dense), np.concatenate((x_dense.real, x_dense.imag))[:, None]
+    v = S * (Sinv @ x_dense)
+    x_rows = np.concatenate((x_dense.real, x_dense.imag))[:, None]
     out = np.empty(N + 1, dtype=np.float64)
     for lo, hi, u0, rows, _ in _spectral_powers(
             np.abs(lam) * abs(f_c), (np.angle(lam) + cmath.phase(f_c)) / (2 * math.pi),
@@ -567,10 +568,9 @@ def scaled_profile(states: Sequence[SparseVector], factor, stride: int,
                 raise OverflowError(f"state {r} of the cycle leaves float range")
             continue
         h = sum((c.conjugate() * x[i] for i, c in s.items() if i in x), 0j)
-        out[r::period] = _orthogonal_profile([abs(f_c)], [cmath.phase(f_c) / (2 * math.pi)],
-                                             np.array([s2]), np.array([h]), x2,
-                                             stride * period, len(range(r, N + 1, period)),
-                                             stride * r)
+        out[r::period] = _orthogonal_profile(
+            [abs(f_c)], [cmath.phase(f_c) / (2 * math.pi)], np.array([s2]), np.array([h]), x2,
+            stride * period, len(range(r, N + 1, period)), stride * r)
     out[0] = 0.0
     return DistanceProfile(out, N, exact=False)
 
