@@ -228,14 +228,13 @@ def parse_vector(text: str, op: Operator) -> Vector:
             raise ConfigError(f"malformed coordinate {item!r}")
         idx_text, val_text = item.split(":", 1)
         pairs.append((int(idx_text), parse_scalar(val_text)))
-    if isinstance(op, RowRotation):
+    first = op.space.first_coordinate
+    if first is None:
         if pairs:
             raise ConfigError("row-space coordinates are (row, column) cells; "
                               "only the zero vector vec(sparse:) and "
                               "vec(rowpattern) are expressible here")
         return FiniteRowVector(())
-    # power series start at degree 0
-    first = 0 if isinstance(op.space, EntireCoefficients) else 1
     if any(i < first for i, _ in pairs):
         raise ConfigError(f"coordinates of this space start at index {first}")
     return SparseVector.from_pairs(op.space, pairs)

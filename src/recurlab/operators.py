@@ -25,7 +25,8 @@ Every operator here has an exact, finitely representable action:
 ``Scaled`` (a unimodular multiple of a base operator) and ``Power`` (p-fold
 application per step) wrap any of the above.  Each class implements the
 ``Operator`` protocol: its own action, powers, period bound, exact
-fixed-point test for powers and description.
+fixed-point test for powers and description.  Each space implements the
+``Space`` protocol: its seminorms, their indices, coordinates and Hilbert test.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .values import (ExactSqrt, Phase, Value, abs2, diff_abs2, exact_eq,
                      is_exact, log2_abs, to_complex, vabs, vmul, vpow)
 
 __all__ = [
-    "SequenceLp", "SequenceSup", "FiniteDim", "DyadicRowSpace", "EntireCoefficients",
+    "Space", "SequenceLp", "SequenceSup", "FiniteDim", "DyadicRowSpace", "EntireCoefficients",
     "SparseVector", "RowState", "FiniteRowVector",
     "Operator", "BlockCycle", "WeightedBackwardShift", "Diagonal", "RowRotation",
     "AffineComposition", "Matrix", "Scaled", "Power",
@@ -67,8 +68,48 @@ class SpaceMismatch(TypeError):
 # spaces
 # ---------------------------------------------------------------------------
 
+class Space:
+    """The space protocol: ``check_index(i)`` (i, or ValueError when there
+    is no seminorm of index i), ``seminorm(i, x)``, ``diff_seminorm(i, x, y)``,
+    the range ``first_coordinate .. last_coordinate`` (None: unbounded) of a
+    ``SparseVector``'s indices, and ``is_hilbert`` (seminorm 0 is the l2 norm
+    of the coordinates).  A space of cells has first coordinate None and no
+    ``SparseVector``, so a Hilbert space's vectors are sparse.  By default a
+    space is normed (seminorm 0) with coordinates from 1, which ``_fold(index,
+    support, mod2, mod, *columns)`` measures from the modulus ``mod(*row k)``
+    and squared modulus ``mod2(*row k)`` of coordinate ``support[k]``."""
+
+    first_coordinate = 1
+    last_coordinate = None
+    is_hilbert = False
+
+    def check_index(self, index: int) -> int:
+        return index if index == 0 else self._refuse(index, "0")
+
+    def _refuse(self, index: int, allowed: str):
+        raise ValueError(f"seminorm index must be {allowed} on "
+                         f"{type(self).__name__}, got {index}")
+
+    def seminorm(self, index, x):
+        self.check_index(index)
+        if x.space.first_coordinate is None:
+            raise SpaceMismatch("expected a sparse vector")
+        return self._fold(index, x.support, abs2, vabs, [v for _, v in x.entries])
+
+    def diff_seminorm(self, index, x, y):
+        self.check_index(index)
+        if x.space.first_coordinate is None or y.space.first_coordinate is None:
+            raise SpaceMismatch("expected sparse vectors")
+        xd, yd = x.as_dict, y.as_dict
+        support = sorted(set(xd) | set(yd))
+        zero = Fraction(0)
+        return self._fold(index, support, diff_abs2, _abs_diff,
+                          [xd.get(i, zero) for i in support],
+                          [yd.get(i, zero) for i in support])
+
+
 @dataclass(frozen=True)
-class SequenceLp:
+class SequenceLp(Space):
     """l^p over N (indices from 1), p in [1, inf)."""
     p: int = 2
 
@@ -76,46 +117,123 @@ class SequenceLp:
         if self.p < 1:
             raise ValueError("p must be >= 1")
 
+    is_hilbert = property(lambda self: self.p == 2)
+
+    def _fold(self, index, support, mod2, mod, *columns):
+        if self.p == 2:
+            sq = _exact_or_float(operator.add, map(mod2, *columns))
+            return ExactSqrt(sq) if isinstance(sq, Fraction) else math.sqrt(sq)
+        if self.p == 1:
+            return _exact_or_float(operator.add, map(mod, *columns))
+        return sum(float(a) ** self.p for a in map(mod, *columns)) ** (1.0 / self.p)
+
 
 @dataclass(frozen=True)
-class SequenceSup:
+class SequenceSup(Space):
     """c0 over N with the sup norm."""
 
+    def _fold(self, index, support, mod2, mod, *columns):
+        return _exact_or_float(max, map(mod, *columns))
+
 
 @dataclass(frozen=True)
-class FiniteDim:
+class FiniteDim(Space):
     """C^n with the euclidean norm, coordinates indexed 1..n."""
     n: int
 
+    is_hilbert = True
+    last_coordinate = property(operator.attrgetter("n"))
+    p = 2                               # C^n takes the l^2 fold of SequenceLp
+    _fold = SequenceLp._fold
+
 
 @dataclass(frozen=True)
-class DyadicRowSpace:
+class EntireCoefficients(Space):
+    """Truncated power series f = sum c_j z^j with coefficient seminorms.
+
+    Seminorm of index i is q_R(f) = sum |c_j| R^j at R = radii[i], an
+    equivalent system for compact convergence evaluated exactly on
+    polynomials.  Coordinates are degrees, from the constant term 0.
+    """
+    max_degree: int
+    radii: tuple[Fraction, ...] = (Fraction(1), Fraction(2), Fraction(4))
+
+    first_coordinate = 0
+    last_coordinate = property(operator.attrgetter("max_degree"))
+
+    def __post_init__(self):
+        if self.max_degree < 0 or any(r <= 0 for r in self.radii):
+            raise ValueError("need max_degree >= 0 and positive radii")
+
+    def check_index(self, index):
+        return index if 0 <= index < len(self.radii) else \
+            self._refuse(index, f"in 0..{len(self.radii) - 1}")
+
+    def _fold(self, index, support, mod2, mod, *columns):
+        radius = self.radii[index]
+        return _exact_or_float(operator.add, (_scale_pow(a, radius, d) for a, d
+                                              in zip(map(mod, *columns), support)))
+
+
+@dataclass(frozen=True)
+class DyadicRowSpace(Space):
     """Doubly indexed sequences, row k holding 2^k entries.
 
     Seminorm of index n >= 1:
 
         p_n(x) = sum_k 2^-k * max_j |x_(k,j)|
                + sum_(k>=2) k * max_(1<=m<=min(n, 2^(k-1)-1)) |x_(k, 2^(k-1)+m)|
+
+    Its vectors are cells: ``FiniteRowVector`` and the one-hot ``RowState``,
+    whose first sum is exactly 2 and whose second touches finitely many rows.
     """
 
+    first_coordinate = None
 
-@dataclass(frozen=True)
-class EntireCoefficients:
-    """Truncated power series f = sum c_j z^j with coefficient seminorms.
+    def check_index(self, index):
+        return index if index >= 1 else self._refuse(index, ">= 1")
 
-    Seminorm of index i is q_R(f) = sum |c_j| R^j at R = radii[i], an
-    equivalent system for compact convergence evaluated exactly on
-    polynomials.
-    """
-    max_degree: int
-    radii: tuple[Fraction, ...] = (Fraction(1), Fraction(2), Fraction(4))
+    def seminorm(self, index, x):
+        self.check_index(index)
+        if x.space.first_coordinate is not None:
+            raise SpaceMismatch("row seminorms apply to row-space vectors")
+        if isinstance(x, RowState):
+            return Fraction(2) + sum(_pattern_watch_rows(x.offset, index))
+        rows: dict[int, list] = {}
+        for k, j, v in x.entries:
+            rows.setdefault(k, []).append((j, vabs(v)))
+        parts = [_scale_pow(_exact_or_float(max, (a for _, a in cells)), Fraction(1, 1 << k), 1)
+                 for k, cells in rows.items()]
+        for k, cells in rows.items():
+            watched = [a for j, a in cells if k >= 2 and _watch_hit(j, k, index)]
+            if watched:
+                parts.append(_scale_pow(_exact_or_float(max, watched), Fraction(k), 1))
+        return _exact_or_float(operator.add, parts)
 
-    def __post_init__(self):
-        if self.max_degree < 0 or any(r <= 0 for r in self.radii):
-            raise ValueError("need max_degree >= 0 and positive radii")
-
-
-Space = Union[SequenceLp, SequenceSup, FiniteDim, DyadicRowSpace, EntireCoefficients]
+    def diff_seminorm(self, index, x, y):
+        self.check_index(index)
+        if x.space.first_coordinate is not None or y.space.first_coordinate is not None:
+            raise SpaceMismatch("row seminorms apply to row-space vectors")
+        if isinstance(x, RowState) and isinstance(y, RowState):
+            if x.offset == y.offset:
+                return Fraction(0)
+            delta = abs(x.offset - y.offset)
+            first = Fraction(1, delta & -delta)     # 2^-v2(delta): rows k > v2 disagree
+            rows = {*_pattern_watch_rows(x.offset, index), *_pattern_watch_rows(y.offset, index)}
+            return first + sum(k for k in rows if (delta % (1 << k)) != 0)
+        if isinstance(y, RowState):
+            x, y = y, x
+        if isinstance(x, RowState):
+            rows = max(8, index.bit_length() + 2, (x.offset + index).bit_length() + 2,
+                       *(k + 1 for k, _, _ in y.entries))
+            # materialization is exact on the touched rows; the omitted rows of
+            # the pattern contribute exactly their first-sum mass 2^-rows
+            return self.diff_seminorm(index, x.materialize(rows), y) + Fraction(1, 1 << rows)
+        xd, yd = ({(k, j): v for k, j, v in z.entries} for z in (x, y))
+        zero = Fraction(0)
+        pairs = ((c, xd.get(c, zero), yd.get(c, zero)) for c in xd.keys() | yd.keys())
+        return self.seminorm(index, FiniteRowVector(tuple(sorted(
+            (*c, _signed_diff(a, b)) for c, a, b in pairs if not _diff_is_zero(a, b)))))
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +248,17 @@ class SparseVector:
     entries: tuple[tuple[int, Value], ...]
 
     def __post_init__(self):
-        prev = None
+        first, last = self.space.first_coordinate, self.space.last_coordinate
+        if first is None:
+            raise SpaceMismatch(f"{type(self.space).__name__} has cells, not coordinates")
+        prev = first - 1
         for i, v in self.entries:
-            if prev is not None and i <= prev:
-                raise ValueError("entries must be sorted by distinct index")
+            if i <= prev:
+                raise ValueError("entries must be sorted by distinct index" if i >= first
+                                 else f"coordinates of this space start at index {first}")
             prev = i
-        if isinstance(self.space, FiniteDim):
-            if self.entries and not (1 <= self.entries[0][0]
-                                     and self.entries[-1][0] <= self.space.n):
-                raise ValueError("coordinates outside the space dimension")
-        if isinstance(self.space, EntireCoefficients):
-            if self.entries and self.entries[-1][0] > self.space.max_degree:
-                raise ValueError("degree above the space cap")
+        if last is not None and prev > last:
+            raise ValueError(f"coordinates of this space end at index {last}")
 
     @staticmethod
     def unit(space: Space, index: int) -> "SparseVector":
@@ -164,6 +281,10 @@ class SparseVector:
     def exact(self) -> bool:
         return all(is_exact(v) for _, v in self.entries)
 
+    @property
+    def is_zero(self) -> bool:
+        return not self.entries
+
     def scale(self, factor: Value) -> "SparseVector":
         return SparseVector.from_pairs(
             self.space, ((i, vmul(v, factor)) for i, v in self.entries))
@@ -173,14 +294,7 @@ class SparseVector:
             raise SpaceMismatch("adding vectors from different spaces")
         merged = dict(self.entries)
         for i, v in other.entries:
-            if i in merged:
-                a, b = merged[i], v
-                if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-                    merged[i] = Fraction(a) + Fraction(b)
-                else:
-                    merged[i] = to_complex(a) + to_complex(b)
-            else:
-                merged[i] = v
+            merged[i] = _merge(merged[i], v) if i in merged else v
         return SparseVector.from_pairs(self.space, merged.items())
 
     def to_dense(self, n: int) -> np.ndarray:
@@ -191,11 +305,7 @@ class SparseVector:
 
 
 def _is_zero(v: Value) -> bool:
-    if isinstance(v, (int, Fraction)):
-        return v == 0
-    if isinstance(v, Phase):
-        return v.mag == 0
-    return v == 0
+    return (v.mag if isinstance(v, Phase) else v) == 0
 
 
 @dataclass(frozen=True)
@@ -204,21 +314,15 @@ class RowState:
 
     ``offset = m`` encodes the vector whose row k holds a single 1 at
     position ``(-m) mod 2^k``; offset 0 is the base point (1 at the start of
-    every row).  The rotation acts by ``offset -> offset + 1``.  Seminorms
-    and differences are evaluated in closed form per block: the first-sum
-    mass is the full geometric series (exactly 2 for a full one-hot pattern,
-    tail included), the second sum touches finitely many rows.
+    every row).  The rotation acts by ``offset -> offset + 1``, and
+    ``DyadicRowSpace`` measures the state in closed form.
     """
 
     offset: int = 0
 
-    @property
-    def space(self) -> DyadicRowSpace:
-        return DyadicRowSpace()
-
-    @property
-    def exact(self) -> bool:
-        return True
+    space = DyadicRowSpace()
+    exact = True
+    is_zero = False             # every row holds a 1
 
     def hot_position(self, k: int) -> int:
         return (-self.offset) % (1 << k)
@@ -226,8 +330,8 @@ class RowState:
     def materialize(self, max_row: int) -> "FiniteRowVector":
         """Rows k <= max_row of the pattern; the omitted first-sum mass is
         exactly 2^-max_row (certified tail)."""
-        entries = {(k, self.hot_position(k)): Fraction(1) for k in range(max_row + 1)}
-        return FiniteRowVector(tuple(sorted((k, j, v) for (k, j), v in entries.items())))
+        return FiniteRowVector(tuple((k, self.hot_position(k), Fraction(1))
+                                     for k in range(max_row + 1)))
 
 
 @dataclass(frozen=True)
@@ -235,6 +339,8 @@ class FiniteRowVector:
     """Finitely supported vector of the dyadic row space: (row, col, value)."""
 
     entries: tuple[tuple[int, int, Value], ...]
+
+    space = DyadicRowSpace()
 
     def __post_init__(self):
         seen = set()
@@ -246,12 +352,12 @@ class FiniteRowVector:
             seen.add((k, j))
 
     @property
-    def space(self) -> DyadicRowSpace:
-        return DyadicRowSpace()
-
-    @property
     def exact(self) -> bool:
         return all(is_exact(v) for _, _, v in self.entries)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.entries
 
     def rotate(self, steps: int = 1) -> "FiniteRowVector":
         moved = tuple(sorted((k, (j - steps) % (1 << k), v) for k, j, v in self.entries))
@@ -667,8 +773,7 @@ class Matrix(Operator):
         vec = _sparse(self, x).to_dense(self.n)
         with np.errstate(over="ignore", invalid="ignore"):
             out = self.array @ vec
-        return SparseVector.from_pairs(
-            x.space, ((i + 1, complex(out[i])) for i in range(self.n)))
+        return SparseVector.from_pairs(x.space, enumerate(out.tolist(), 1))
 
     def power(self, x, n):
         vec = _sparse(self, x).to_dense(self.n)
@@ -679,8 +784,7 @@ class Matrix(Operator):
             out = vec
             for _ in range(n):
                 out = self.array @ out
-        return SparseVector.from_pairs(
-            x.space, ((i + 1, complex(out[i])) for i in range(self.n)))
+        return SparseVector.from_pairs(x.space, enumerate(out.tolist(), 1))
 
     def describe(self):
         eig = eigen_structure(self)
@@ -700,9 +804,7 @@ class Scaled(Operator):
     base: Operator
     factor: Value
 
-    @property
-    def space(self) -> Space:
-        return self.base.space
+    space = property(lambda self: self.base.space)
 
     def apply(self, x):
         return _scaled(self.base.apply(x), self.factor)
@@ -731,9 +833,7 @@ class Power(Operator):
         if self.p < 1:
             raise ValueError("power must be >= 1")
 
-    @property
-    def space(self) -> Space:
-        return self.base.space
+    space = property(lambda self: self.base.space)
 
     def apply(self, x):
         for _ in range(self.p):
@@ -860,7 +960,7 @@ def exact_state_period(op: Operator, x: Vector) -> Optional[int]:
     factors: each prime r divides the period away for as long as
     ``T^(period/r) x = x``.
     """
-    if isinstance(x, (SparseVector, FiniteRowVector)) and not x.entries:
+    if x.is_zero:
         return 1                   # the zero vector is fixed by every operator
     if not x.exact:
         return None
@@ -907,66 +1007,6 @@ def _exact_or_float(combine, terms):
     return exact if all_exact else combine(floating, float(exact))
 
 
-def check_seminorm_index(space: Space, index: int) -> int:
-    """``index`` if the space has a seminorm of that index, else ValueError."""
-    if isinstance(space, DyadicRowSpace):
-        ok, allowed = index >= 1, ">= 1"
-    elif isinstance(space, EntireCoefficients):
-        ok, allowed = 0 <= index < len(space.radii), f"in 0..{len(space.radii) - 1}"
-    else:                       # the normed spaces SequenceLp, SequenceSup, FiniteDim
-        ok, allowed = index == 0, "0"
-    if not ok:
-        raise ValueError(f"seminorm index must be {allowed} on "
-                         f"{type(space).__name__}, got {index}")
-    return index
-
-
-def seminorm(space: Space, index: int, x: Vector):
-    """Seminorm of the given index; exact (Fraction/ExactSqrt) where possible."""
-    check_seminorm_index(space, index)
-    if isinstance(space, DyadicRowSpace):
-        return _row_seminorm(index, x)
-    if not isinstance(x, SparseVector):
-        raise SpaceMismatch("expected a sparse vector")
-    return _coordinate_seminorm(space, index, x.support, abs2, vabs,
-                                [v for _, v in x.entries])
-
-
-def diff_seminorm(space: Space, index: int, x: Vector, y: Vector):
-    """Seminorm of ``x - y`` without forming the difference inexactly."""
-    check_seminorm_index(space, index)
-    if isinstance(space, DyadicRowSpace):
-        return _row_diff_seminorm(index, x, y)
-    if not (isinstance(x, SparseVector) and isinstance(y, SparseVector)):
-        raise SpaceMismatch("expected sparse vectors")
-    xd, yd = x.as_dict, y.as_dict
-    support = sorted(set(xd) | set(yd))
-    zero = Fraction(0)
-    return _coordinate_seminorm(space, index, support, diff_abs2, _abs_diff,
-                                [xd.get(i, zero) for i in support],
-                                [yd.get(i, zero) for i in support])
-
-
-def _coordinate_seminorm(space: Space, index: int, support, mod2, mod, *columns):
-    """Seminorm of the vector whose coordinate ``support[k]`` has modulus
-    ``mod(*row k of columns)`` and squared modulus ``mod2(*row k)``."""
-    if isinstance(space, (SequenceLp, FiniteDim)):
-        p = space.p if isinstance(space, SequenceLp) else 2
-        if p == 2:
-            sq = _exact_or_float(operator.add, map(mod2, *columns))
-            return ExactSqrt(sq) if isinstance(sq, Fraction) else math.sqrt(sq)
-        if p == 1:
-            return _exact_or_float(operator.add, map(mod, *columns))
-        return sum(float(a) ** p for a in map(mod, *columns)) ** (1.0 / p)
-    if isinstance(space, SequenceSup):
-        return _exact_or_float(max, map(mod, *columns))
-    if isinstance(space, EntireCoefficients):
-        radius = space.radii[index]
-        return _exact_or_float(operator.add, (_scale_pow(a, radius, d) for a, d
-                                              in zip(map(mod, *columns), support)))
-    raise SpaceMismatch(f"unknown space {space!r}")
-
-
 def _scale_pow(a, radius: Fraction, d: int):
     if isinstance(a, Fraction):
         return a * radius ** d
@@ -984,7 +1024,22 @@ def _abs_diff(a: Value, b: Value):
     return math.sqrt(d2)
 
 
-# -- dyadic row space closed forms ------------------------------------------
+def check_seminorm_index(space: Space, index: int) -> int:
+    """``index`` if the space has a seminorm of that index, else ValueError."""
+    return space.check_index(index)
+
+
+def seminorm(space: Space, index: int, x: Vector):
+    """Seminorm of the given index; exact (Fraction/ExactSqrt) where possible."""
+    return space.seminorm(index, x)
+
+
+def diff_seminorm(space: Space, index: int, x: Vector, y: Vector):
+    """Seminorm of ``x - y`` without forming the difference inexactly."""
+    return space.diff_seminorm(index, x, y)
+
+
+# -- dyadic row space helpers -------------------------------------------------
 
 def _watch_hit(pos: int, k: int, index: int) -> bool:
     """Is column ``pos`` of row k inside the watched strip of p_index?"""
@@ -1003,64 +1058,6 @@ def _pattern_watch_rows(offset: int, index: int) -> list[int]:
             hits.append(k)
         k += 1
     return hits
-
-
-def _row_seminorm(index: int, x: Vector):
-    if isinstance(x, RowState):
-        first = Fraction(2)      # sum_k 2^-k over the full one-hot pattern
-        second = sum(_pattern_watch_rows(x.offset, index))
-        return first + second
-    if isinstance(x, FiniteRowVector):
-        rows: dict[int, list] = {}
-        for k, j, v in x.entries:
-            rows.setdefault(k, []).append((j, v))
-        first_parts = []
-        second_parts = []
-        for k, cells in rows.items():
-            peak = _exact_or_float(max, (vabs(v) for _, v in cells))
-            first_parts.append(_scale_pow(peak, Fraction(1, 1 << k), 1))
-            if k >= 2:
-                watched = [vabs(v) for j, v in cells if _watch_hit(j, k, index)]
-                if watched:
-                    second_parts.append(
-                        _scale_pow(_exact_or_float(max, watched), Fraction(k), 1))
-        return _exact_or_float(operator.add, first_parts + second_parts)
-    raise SpaceMismatch("row seminorms apply to row-space vectors")
-
-
-def _row_diff_seminorm(index: int, x: Vector, y: Vector):
-    if isinstance(x, RowState) and isinstance(y, RowState):
-        if x.offset == y.offset:
-            return Fraction(0)
-        delta = abs(x.offset - y.offset)
-        v2 = (delta & -delta).bit_length() - 1
-        first = Fraction(1, 1 << v2)     # rows k > v2 disagree, each once
-        rows = set(_pattern_watch_rows(x.offset, index)) | \
-            set(_pattern_watch_rows(y.offset, index))
-        second = sum(k for k in rows if (delta % (1 << k)) != 0)
-        return first + second
-    if isinstance(x, RowState):
-        rows = max(_needed_rows(y, index), (x.offset + index).bit_length() + 2)
-        # materialization is exact on the touched rows; the omitted rows of the
-        # pattern contribute exactly their first-sum mass 2^-rows
-        tail = Fraction(1, 1 << rows)
-        return _row_diff_seminorm(index, x.materialize(rows), y) + tail
-    if isinstance(y, RowState):
-        return _row_diff_seminorm(index, y, x)
-    cells: dict[tuple[int, int], list] = {}
-    for k, j, v in x.entries:
-        cells.setdefault((k, j), [Fraction(0), Fraction(0)])[0] = v
-    for k, j, v in y.entries:
-        cells.setdefault((k, j), [Fraction(0), Fraction(0)])[1] = v
-    entries = tuple(sorted((k, j, _signed_diff(a, b))
-                           for (k, j), (a, b) in cells.items()
-                           if not _diff_is_zero(a, b)))
-    return _row_seminorm(index, FiniteRowVector(entries))
-
-
-def _needed_rows(x: FiniteRowVector, index: int) -> int:
-    top = max((k for k, _, _ in x.entries), default=1)
-    return max(top + 1, index.bit_length() + 2, 8)
 
 
 def _signed_diff(a: Value, b: Value):

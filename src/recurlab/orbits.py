@@ -27,8 +27,10 @@ the cheapest sound strategy:
   exact sparse data and stops once the orbit reaches the zero vector: every
   operator is linear, so the remaining values all equal ``p_i(x)``.
 
-Every exact period comes from ``_period_within`` alone, and every such
-closed form takes ``mu_j^m`` from ``_spectral_powers`` alone, its angles
+The l2 forms (the dyadic kernel, the spectral forms, the dense walker)
+run only where the vector's space says ``is_hilbert``; elsewhere the same
+orbit is stepped.  Every exact period comes from ``_period_within`` alone,
+and every spectral form takes ``mu_j^m`` from ``_spectral_powers`` alone, its angles
 reduced by ``fractional_turns`` (``np.mod`` bit for bit).  Diagonals and
 scaled cycles are orthogonal families, read off ``|v_j|^2`` and ``v_j^H x``
 by ``_orthogonal_profile`` (a distance near 0 can read up to about
@@ -57,11 +59,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .families import IndexWindow
-from .operators import (BlockCycle, Diagonal, FiniteDim, Matrix, Operator, Power,
-                        RowRotation, RowState, Scaled, SequenceLp,
-                        SparseVector, Vector, apply, check_seminorm_index,
-                        diff_seminorm, exact_state_period, power_apply,
-                        seminorm)
+from .operators import (BlockCycle, Diagonal, Matrix, Operator, Power,
+                        RowRotation, RowState, Scaled, SparseVector, Vector,
+                        apply, check_seminorm_index, diff_seminorm,
+                        exact_state_period, power_apply, seminorm)
 from .values import ExactSqrt, Phase, norm_lt, to_complex, vabs
 
 __all__ = [
@@ -192,7 +193,7 @@ def distance_profile(op: Operator, x: Vector, seminorms: tuple[int, ...],
     if prof is not None:
         return prof
     # a scalar multiple of a base whose (powered) orbit cycles exactly
-    if factor is not None and isinstance(x, SparseVector) and _l2_like(base.space):
+    if factor is not None and x.space.is_hilbert:
         cycle = periodic_orbit(Power(base, stride) if stride > 1 else base, x, 1 << 16)
         if cycle is not None:
             return scaled_profile(cycle, factor, stride, N)
@@ -227,11 +228,6 @@ def _mul_factor(a, b):
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
     return to_complex(a) * to_complex(b)
-
-
-def _l2_like(space) -> bool:
-    return isinstance(space, (FiniteDim,)) or (
-        isinstance(space, SequenceLp) and space.p == 2)
 
 
 def _distance(y: Vector, x: Vector, seminorms: tuple[int, ...]):
@@ -272,8 +268,7 @@ def _block_cycle_distances(base: Operator, factor, stride: int, x: Vector,
     coordinates on an l2 space and the one seminorm is the norm.
     """
     if not (isinstance(base, BlockCycle) and factor is None and seminorms == (0,)
-            and isinstance(x, SparseVector) and _l2_like(x.space)
-            and all(isinstance(v, Fraction) for _, v in x.entries)):
+            and x.space.is_hilbert and all(isinstance(v, Fraction) for _, v in x.entries)):
         return None
     den = math.lcm(*(v.denominator for _, v in x.entries))
     coords: dict[int, dict[int, int]] = {}     # block -> offset -> a
@@ -326,7 +321,7 @@ def _stepwise_profile(op: Operator, x: Vector, seminorms: tuple[int, ...],
         d = _distance(y, x, seminorms)
         exact = exact and isinstance(d, (Fraction, ExactSqrt))
         vals.append(d)
-        if isinstance(y, SparseVector) and not y.entries:
+        if y.is_zero:
             vals.extend([d] * (N - n))
             break
     return DistanceProfile(tuple(vals), N, exact=exact)
@@ -437,7 +432,7 @@ def _diagonal_profile(op: Diagonal, factor, stride: int, x: Vector,
                       seminorms: tuple[int, ...], N: int) -> Optional[DistanceProfile]:
     """l2 distance of a diagonal (optionally scaled) orbit: the orthogonal family
     ``v_j = x_j e_j``, ``mu_j = f lam_j``, with ``w_j = h_j = |x_j|^2``."""
-    if not (_l2_like(op.space) and isinstance(x, SparseVector)):
+    if not x.space.is_hilbert:
         return None
     f_c = to_complex(factor) if factor is not None else 1.0 + 0j
     lam = [to_complex(op.entry(i)) for i in x.support]
@@ -456,6 +451,8 @@ def _matrix_profile(base: Matrix, factor, stride: int, x: Vector,
     the base's one cached eigen system ``A = S diag(lam) S^-1``.  Per block
     ``V diag(u0)``, as one real matrix, times the power rows, minus x, is
     summed in squares, so a distance near 0 stays accurate."""
+    if not x.space.is_hilbert:
+        return None
     if base.eigen_system is None:
         return None if factor is not None else _stepped_matrix_profile(
             base, stride, x, seminorms, N)
@@ -481,7 +478,7 @@ def _stepped_matrix_profile(mat: Matrix, stride: int, x: Vector,
     from the dense walker; ``_distance`` measures x and any state with a zero
     coordinate (its exact terms are folded last).  None -- stepwise iteration,
     with its zero-state stop and exactness -- at a zero state or for N < 1."""
-    if not (isinstance(x, SparseVector) and _l2_like(x.space)) or N < 1:
+    if N < 1:
         return None
     x_dense = x.to_dense(mat.n)
     out = np.empty(N + 1, dtype=np.float64)
@@ -503,8 +500,7 @@ def _dense_start(op: Operator, x: Vector):
     """``(A, stride, x as a dense array)`` when one step of op is ``stride``
     products ``A @ y`` on an l2 vector x, else None (the ``apply`` walker)."""
     base, factor, stride = _peel(op)
-    if not (isinstance(base, Matrix) and factor is None
-            and isinstance(x, SparseVector) and _l2_like(x.space)):
+    if not (isinstance(base, Matrix) and factor is None and x.space.is_hilbert):
         return None
     return base.array, stride, x.to_dense(base.n)
 
@@ -689,7 +685,7 @@ def _isometric(op: Operator, x: Vector) -> bool:
     any scalar factor, have modulus 1 as a Fraction (a Phase of magnitude 1
     or a Fraction +-1), so each product keeps each modulus as it was."""
     base, factor, _ = _peel(op)
-    if not (isinstance(base, Diagonal) and isinstance(x, SparseVector) and x.exact):
+    if not (isinstance(base, Diagonal) and x.space.first_coordinate is not None and x.exact):
         return False
     units = [base.entry(i) for i in x.support] + ([] if factor is None else [factor])
     return all(isinstance(abs(v), Fraction) and abs(v) == 1 for v in units)
@@ -801,7 +797,7 @@ def _materialized_orbit(op: Operator, x: Vector, N: int) -> np.ndarray:
     of their supports in sorted order: one period tiled when x cycles within
     the horizon, else the orbit stepped with one state held at a time (a
     matrix orbit by the dense walker)."""
-    if not isinstance(x, SparseVector):
+    if x.space.first_coordinate is None:
         raise ValueError("compactness probe needs materializable states")
     period = _period_within(op, x, N + 1)
     dense = _dense_start(op, x) if period is None else None

@@ -221,7 +221,7 @@ class TestShift:
     def test_apply_is_first_power(self):
         # the unilateral shift drops every coordinate landing below index 1
         b = WeightedBackwardShift(Rule("2"))
-        x = SparseVector.from_pairs(L2, [(0, Fraction(1)), (3, Fraction(1))])
+        x = SparseVector.from_pairs(L2, [(1, Fraction(1)), (3, Fraction(1))])
         assert apply(b, x).entries == power_apply(b, x, 1).entries \
             == ((2, Fraction(2)),)
 
