@@ -26,13 +26,13 @@ from .orbits import (CoveringReport, GrowthCurve, PowerBoundVerdict,
                      ReturnSetRecord, distance_profile, orbit_growth,
                      power_bounded_probe, return_set, return_sets,
                      totally_bounded_probe)
-from .classify import (FamilyEvaluator, Label, LevelEvidence,
-                       RecurrenceVerdict, RefutationCertificate, Thresholds,
-                       blockcycle_rrec_refutation, classify,
-                       f_recurrence_check, named_families, window_evidence)
-from .checks import (CheckOutcome, cut_shift_paste_check,
+from .classify import (Label, LevelEvidence, RecurrenceVerdict,
+                       RefutationCertificate, Thresholds,
+                       blockcycle_rrec_refutation, classify, window_evidence)
+from .checks import (CheckOutcome, Family, cut_shift_paste_check,
                      diagonal_criterion_check, eigenvector_span_check,
-                     kronecker_return_check, kronecker_window,
+                     f_recurrence_check, kronecker_return_check,
+                     kronecker_window, named_families,
                      matrix_criterion_check, minimality_separation_check,
                      power_consistency_check, scaling_consistency_check,
                      shift_series_check, translation_invariance_check)

@@ -15,8 +15,9 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +30,8 @@ from .operators import (Diagonal, Matrix, NumericalFailure, Operator, Power,
                         WeightedBackwardShift, apply, diff_seminorm,
                         eigen_structure, power_apply, seminorm,
                         state_exact_eq)
-from .orbits import fractional_turns, growth_schedule, periodic_orbit, return_sets
+from .orbits import (ReturnSetRecord, fractional_turns, growth_schedule,
+                     periodic_orbit, return_sets)
 from .rules import Rule
 from .values import Phase, log2_abs, to_complex, vabs
 
@@ -39,7 +41,7 @@ __all__ = [
     "power_consistency_check", "scaling_consistency_check",
     "shift_series_check", "cut_shift_paste_check",
     "minimality_separation_check", "translation_invariance_check",
-    "kronecker_window",
+    "kronecker_window", "Family", "named_families", "f_recurrence_check",
 ]
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
@@ -428,51 +430,113 @@ def shift_series_check(weights: Rule, support: IndexWindow,
 
 
 # ---------------------------------------------------------------------------
-# cut-shift-paste closure
+# Furstenberg families and their cut-shift-paste closure
 # ---------------------------------------------------------------------------
 
-_FAMILIES = ("infinite", "syndetic", "lower-density", "upper-density",
-             "banach-density")
-
-
-def _sample_member(family: str, rng: np.random.Generator,
-                   horizon: int) -> IndexWindow:
-    if family == "syndetic":
-        g = int(rng.integers(2, 40))
-        gaps = rng.integers(1, g + 1, size=2 * horizon // g + 4)
-        elems = np.cumsum(gaps)
-        return IndexWindow.from_iterable(
-            [0, *elems[elems <= horizon].tolist()], horizon)
-    if family == "lower-density":
-        delta = float(rng.uniform(0.3, 0.6))
-        mask = rng.random(horizon + 1) < delta
-        mask[0] = True
-        return IndexWindow.from_mask(mask)
-    if family == "upper-density":
-        delta = float(rng.uniform(0.4, 0.7))
-        mask = rng.random(horizon + 1) < delta / 8
-        head = rng.random(horizon // 3 + 1) < delta
-        mask[: horizon // 3 + 1] |= head
-        mask[0] = True
-        mask[-1] = True
-        return IndexWindow.from_mask(mask)
-    if family == "banach-density":
-        delta = float(rng.uniform(0.3, 0.6))
-        mask = np.zeros(horizon + 1, dtype=bool)
-        block = max(1, int(horizon ** 0.75)) + int(rng.integers(0, horizon // 8))
-        starts = rng.choice(max(1, horizon - block), size=3, replace=False)
-        for s in starts:
-            seg = rng.random(block) < delta
-            mask[s: s + block] |= seg
-        mask[0] = True
-        mask[-1] = True
-        return IndexWindow.from_mask(mask)
-    # infinite: sparse but horizon-spanning
+def _sample_infinite(rng: np.random.Generator, horizon: int) -> IndexWindow:
+    # sparse but horizon-spanning
     step = int(rng.integers(20, 120))
     jitter = rng.integers(0, step, size=horizon // step + 2)
     elems = [0] + [min(horizon, i * step + int(j))
                    for i, j in enumerate(jitter)]
     return IndexWindow.from_iterable(elems + [horizon], horizon)
+
+
+def _sample_syndetic(rng: np.random.Generator, horizon: int) -> IndexWindow:
+    g = int(rng.integers(2, 40))
+    gaps = rng.integers(1, g + 1, size=2 * horizon // g + 4)
+    elems = np.cumsum(gaps)
+    return IndexWindow.from_iterable(
+        [0, *elems[elems <= horizon].tolist()], horizon)
+
+
+def _sample_lower(rng: np.random.Generator, horizon: int) -> IndexWindow:
+    delta = float(rng.uniform(0.3, 0.6))
+    mask = rng.random(horizon + 1) < delta
+    mask[0] = True
+    return IndexWindow.from_mask(mask)
+
+
+def _sample_upper(rng: np.random.Generator, horizon: int) -> IndexWindow:
+    delta = float(rng.uniform(0.4, 0.7))
+    mask = rng.random(horizon + 1) < delta / 8
+    head = rng.random(horizon // 3 + 1) < delta
+    mask[: horizon // 3 + 1] |= head
+    mask[[0, -1]] = True
+    return IndexWindow.from_mask(mask)
+
+
+def _sample_banach(rng: np.random.Generator, horizon: int) -> IndexWindow:
+    delta = float(rng.uniform(0.3, 0.6))
+    mask = np.zeros(horizon + 1, dtype=bool)
+    block = max(1, int(horizon ** 0.75)) + int(rng.integers(0, horizon // 8))
+    starts = rng.choice(max(1, horizon - block), size=3, replace=False)
+    for s in starts:
+        seg = rng.random(block) < delta
+        mask[s: s + block] |= seg
+    mask[[0, -1]] = True
+    return IndexWindow.from_mask(mask)
+
+
+def _infinite_violation(a, out, inst, slack):
+    margin = out.count - a.count / inst.q
+    ev = window_evidence(out, Fraction(0), Thresholds())
+    return not (margin >= 0 and ev.recurrent), margin
+
+
+def _syndetic_violation(a, out, inst, slack):
+    s = inst.max_shift
+    g = syndetic_certificate(a).largest_interior_gap or 0
+    b = out.array
+    interior = b[(b >= a.array[0] + s) & (b <= a.array[-1])]
+    worst = int(np.diff(interior).max()) if interior.size > 1 else 0
+    margin = (g + s) - worst
+    return worst > g + s, margin
+
+
+def _density_violation(field, a, out, inst, slack):
+    pre_v = getattr(density_report(a), field)
+    post_v = getattr(density_report(out), field)
+    floor = pre_v / (2 * inst.q) - slack
+    return post_v < floor, post_v - floor
+
+
+@dataclass(frozen=True)
+class Family:
+    """A Furstenberg family at finite scale: a window is a member when the
+    classifier's evidence holds at ``level`` (so the family is upward
+    closed); ``sample`` draws members and ``violation`` measures how far a
+    cut-shift-paste image falls out of it, as ``(violated, margin)``."""
+
+    name: str
+    level: Label
+    sample: Callable[[np.random.Generator, int], IndexWindow]
+    violation: Callable[[IndexWindow, IndexWindow, CutShiftPaste, float],
+                        tuple[bool, float]]
+
+    def __call__(self, window: IndexWindow, thresholds: Thresholds) -> bool:
+        return window_evidence(window, Fraction(0), thresholds).holds(self.level)
+
+
+def named_families() -> dict[str, Family]:
+    """The one table of the five named families, by name."""
+    return {f.name: f for f in (
+        Family("infinite", Label.RECURRENT, _sample_infinite, _infinite_violation),
+        Family("syndetic", Label.UNIFORMLY_RECURRENT, _sample_syndetic,
+               _syndetic_violation),
+        Family("lower-density", Label.FREQUENTLY_RECURRENT, _sample_lower,
+               partial(_density_violation, "lower_est")),
+        Family("upper-density", Label.UPPER_FREQUENTLY_RECURRENT, _sample_upper,
+               partial(_density_violation, "upper_est")),
+        Family("banach-density", Label.REITERATIVELY_RECURRENT, _sample_banach,
+               partial(_density_violation, "banach_upper_est")))}
+
+
+def f_recurrence_check(records: Sequence[ReturnSetRecord], family: Family,
+                       thresholds: Thresholds = Thresholds()):
+    """True iff the family's membership holds for every record's window."""
+    rows = [(r.epsilon, family(r.window, thresholds)) for r in records]
+    return all(ok for _, ok in rows), tuple(rows)
 
 
 def _sample_instance(rng: np.random.Generator, horizon: int,
@@ -493,7 +557,7 @@ def _sample_instance(rng: np.random.Generator, horizon: int,
 def cut_shift_paste_check(family: str, trials: int, seed: int,
                           horizon: int = 20_000,
                           slack: float = 0.02) -> CheckOutcome:
-    """Randomized closure check of one family under cut-shift-paste.
+    """Randomized closure check of one named family under cut-shift-paste.
 
     Violations counted: a syndetic member whose image has an interior gap
     above ``g + max_shift``; a density member whose image estimate drops
@@ -501,14 +565,15 @@ def cut_shift_paste_check(family: str, trials: int, seed: int,
     horizon-spanning evidence.  The identity instance (q=1, shift 0) is
     verified to reproduce the input exactly on every trial.
     """
-    if family not in _FAMILIES:
+    fam = named_families().get(family)
+    if fam is None:
         raise ValueError(f"unknown family {family!r}")
     rng = np.random.default_rng(seed)
     violations = 0
     witness = None
     margins = []
     for trial in range(trials):
-        a = _sample_member(family, rng, horizon)
+        a = fam.sample(rng, horizon)
         inst = _sample_instance(rng, horizon)
         out = cut_shift_paste(a, inst)
         ident = cut_shift_paste(a, CutShiftPaste((SetPredicate.everything(),), (0,)))
@@ -516,7 +581,7 @@ def cut_shift_paste_check(family: str, trials: int, seed: int,
             violations += 1
             witness = {"trial": trial, "kind": "identity"}
             continue
-        bad, margin = _csp_violation(family, a, out, inst, slack)
+        bad, margin = _csp_violation(fam, a, out, inst, slack)
         margins.append(margin)
         if bad:
             violations += 1
@@ -529,29 +594,10 @@ def cut_shift_paste_check(family: str, trials: int, seed: int,
                     witness, seed=seed, parts=(family, trials, seed, horizon))
 
 
-def _csp_violation(family: str, a: IndexWindow, out: IndexWindow,
+def _csp_violation(family: Family, a: IndexWindow, out: IndexWindow,
                    inst: CutShiftPaste, slack: float):
-    q, s = inst.q, inst.max_shift
-    if family == "syndetic":
-        pre = syndetic_certificate(a)
-        g = pre.largest_interior_gap or 0
-        b = out.array
-        interior = b[(b >= a.array[0] + s) & (b <= a.array[-1])]
-        worst = int(np.diff(interior).max()) if interior.size > 1 else 0
-        margin = (g + s) - worst
-        return worst > g + s, margin
-    if family == "infinite":
-        ok_count = out.count >= a.count / q
-        ev = window_evidence(out, Fraction(0), Thresholds())
-        margin = out.count - a.count / q
-        return not (ok_count and ev.recurrent), margin
-    pre = density_report(a)
-    post = density_report(out)
-    key = {"lower-density": "lower_est", "upper-density": "upper_est",
-           "banach-density": "banach_upper_est"}[family]
-    pre_v, post_v = getattr(pre, key), getattr(post, key)
-    floor = pre_v / (2 * q) - slack
-    return post_v < floor, post_v - floor
+    # every closure measure runs through here: perfbench/tracing.py times it by name
+    return family.violation(a, out, inst, slack)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,8 +36,7 @@ from .orbits import ReturnSetRecord
 from .values import vabs
 
 __all__ = [
-    "Label", "Thresholds", "LevelEvidence", "RecurrenceVerdict",
-    "FamilyEvaluator", "named_families", "classify", "f_recurrence_check",
+    "Label", "Thresholds", "LevelEvidence", "RecurrenceVerdict", "classify",
     "RefutationCertificate", "blockcycle_rrec_refutation", "window_evidence",
 ]
 
@@ -202,10 +201,8 @@ def classify(records: Sequence[ReturnSetRecord],
 
     label = Label.NONE
     for cand in (Label.RECURRENT, Label.REITERATIVELY_RECURRENT,
-                 Label.UPPER_FREQUENTLY_RECURRENT, Label.FREQUENTLY_RECURRENT):
-        if all(e.holds(cand) for e in evidence):
-            label = max(label, cand)
-    for cand in (Label.UNIFORMLY_RECURRENT, Label.IP_STAR_CERTIFIED):
+                 Label.UPPER_FREQUENTLY_RECURRENT, Label.FREQUENTLY_RECURRENT,
+                 Label.UNIFORMLY_RECURRENT, Label.IP_STAR_CERTIFIED):
         if all(e.holds(cand) for e in evidence):
             label = max(label, cand)
     if exact_period is not None and all_ap and label >= Label.IP_STAR_CERTIFIED:
@@ -219,50 +216,6 @@ def classify(records: Sequence[ReturnSetRecord],
         horizon=horizon,
         epsilon_grid=tuple(e.epsilon for e in evidence),
     )
-
-
-# ---------------------------------------------------------------------------
-# family evaluators
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FamilyEvaluator:
-    """Named, upward-closed evidence predicate over observed windows."""
-
-    name: str
-    predicate: Callable[[IndexWindow, Thresholds], bool]
-
-    def __call__(self, window: IndexWindow, thresholds: Thresholds) -> bool:
-        return self.predicate(window, thresholds)
-
-
-def _ev(level: Label):
-    def pred(window: IndexWindow, th: Thresholds) -> bool:
-        return window_evidence(window, Fraction(0), th).holds(level)
-    return pred
-
-
-def named_families() -> dict[str, FamilyEvaluator]:
-    """The five families the cut-shift-paste closure is checked against,
-    wired to exactly the classifier's evidence predicates."""
-    return {
-        "infinite": FamilyEvaluator("infinite", _ev(Label.RECURRENT)),
-        "syndetic": FamilyEvaluator("syndetic", _ev(Label.UNIFORMLY_RECURRENT)),
-        "lower-density": FamilyEvaluator("lower-density",
-                                         _ev(Label.FREQUENTLY_RECURRENT)),
-        "upper-density": FamilyEvaluator("upper-density",
-                                         _ev(Label.UPPER_FREQUENTLY_RECURRENT)),
-        "banach-density": FamilyEvaluator("banach-density",
-                                          _ev(Label.REITERATIVELY_RECURRENT)),
-    }
-
-
-def f_recurrence_check(records: Sequence[ReturnSetRecord],
-                       family: FamilyEvaluator,
-                       thresholds: Thresholds = Thresholds()):
-    """True iff the family's evidence predicate holds for every record."""
-    rows = [(r.epsilon, family(r.window, thresholds)) for r in records]
-    return all(ok for _, ok in rows), tuple(rows)
 
 
 # ---------------------------------------------------------------------------

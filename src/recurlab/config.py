@@ -416,6 +416,12 @@ def _seminorms(op: Operator, text: str) -> tuple[int, ...]:
     return indices
 
 
+def _family(name: str) -> str:
+    if name not in checks.named_families():
+        raise ValueError(f"unknown family {name!r}")
+    return name
+
+
 def _turn(t: str):
     return float(Rule(t)(0)) % 1.0 if "sqrt" in t else Fraction(t) % 1
 
@@ -455,7 +461,7 @@ def _suite_check(sec: _Section, seed: int) -> Callable[[], checks.CheckOutcome]:
         return partial(checks.kronecker_return_check, turns, eps, horizon)
     if kind == "cut-shift-paste":
         return partial(checks.cut_shift_paste_check,
-                       sec.get("family", default="syndetic"),
+                       sec.get("family", _family, "syndetic"),
                        sec.get("trials", int, "100"),
                        sec.get("seed", int, str(seed)), horizon)
     if kind == "matrix-criterion":

@@ -507,7 +507,8 @@ class BlockCycle(Operator):
 
 @dataclass(frozen=True)
 class WeightedBackwardShift(Operator):
-    """``(x_n) -> (w_(n+1) x_(n+1))``, unilateral: drops what falls off index 1."""
+    """``(x_n) -> (w_(n+1) x_(n+1))``, unilateral: drops what falls off the
+    space's first coordinate."""
 
     weights: Rule
     space: Space = SequenceLp(2)
@@ -526,13 +527,15 @@ class WeightedBackwardShift(Operator):
         return out
 
     def apply(self, x):
+        first = x.space.first_coordinate
         pairs = [(i - 1, vmul(v, self.weight(i)))
-                 for i, v in _sparse(self, x).entries if i - 1 >= 1]
+                 for i, v in _sparse(self, x).entries if i - 1 >= first]
         return SparseVector.from_pairs(x.space, pairs)
 
     def power(self, x, n):
+        first = x.space.first_coordinate
         pairs = [(i - n, vmul(v, self.weight_product(i, n)))
-                 for i, v in _sparse(self, x).entries if i - n >= 1]
+                 for i, v in _sparse(self, x).entries if i - n >= first]
         return SparseVector.from_pairs(x.space, pairs)
 
     def describe(self):
@@ -677,7 +680,7 @@ class AffineComposition(Operator):
     def compose(self, x: SparseVector, a_n: Value, b_n: complex) -> SparseVector:
         if b_n == 0 and _is_one(a_n):
             return x
-        deg = self.space.max_degree
+        deg = x.entries[-1][0] if x.entries else 0   # affine symbols keep degree
         out = np.zeros(deg + 1, dtype=np.complex128)
         ac = to_complex(a_n)
         for j, c in x.entries:
@@ -687,7 +690,7 @@ class AffineComposition(Operator):
                 row[m] = math.comb(j, m) * (ac ** m) * (b_n ** (j - m))
             out[: j + 1] += to_complex(c) * row
         pairs = [(d, out[d]) for d in range(deg + 1) if out[d] != 0]
-        return SparseVector(self.space, tuple(pairs))
+        return SparseVector(x.space, tuple(pairs))
 
     def apply(self, x):
         return self.compose(_sparse(self, x), self.a, to_complex(self.b))

@@ -145,7 +145,7 @@ def return_sets(op: Operator, x: Vector, eps_grid: Sequence,
     radii = [Fraction(eps) for eps in eps_grid]
     if any(eps <= 0 for eps in radii):
         raise ValueError("epsilon must be positive")
-    seminorms = tuple(check_seminorm_index(x.space, i) for i in seminorms)
+    seminorms = tuple(seminorms)
     prof = distance_profile(op, x, seminorms, N)
     return [ReturnSetRecord(
         operator=op, vector=x, epsilon=eps, seminorm_indices=seminorms,
@@ -179,6 +179,8 @@ def periodic_orbit(op: Operator, x: Vector,
 
 def distance_profile(op: Operator, x: Vector, seminorms: tuple[int, ...],
                      N: int) -> DistanceProfile:
+    for i in seminorms:
+        check_seminorm_index(x.space, i)
     base, factor, stride = _peel(op)
     period = _period_within(op, x, min(N + 1, _PERIOD_CAP))
     if period is not None:

@@ -7,12 +7,14 @@ import pytest
 
 from recurlab import (BlockCycle, Diagonal, FiniteDim, FiniteRowVector,
                       IndexWindow, Matrix, Phase, RowRotation, RowState,
-                      Rule, SequenceLp, SparseVector, cut_shift_paste_check,
-                      diagonal_criterion_check, eigenvector_span_check,
-                      ip_generate, kronecker_return_check, kronecker_window,
+                      Rule, SequenceLp, SparseVector, Thresholds,
+                      cut_shift_paste_check, diagonal_criterion_check,
+                      eigenvector_span_check, ip_generate,
+                      kronecker_return_check, kronecker_window,
                       matrix_criterion_check, minimality_separation_check,
-                      power_consistency_check, scaling_consistency_check,
-                      shift_series_check, translation_invariance_check)
+                      named_families, power_consistency_check,
+                      scaling_consistency_check, shift_series_check,
+                      translation_invariance_check)
 
 from conftest import conjugated_unimodular, rotation_matrix
 
@@ -281,6 +283,25 @@ class TestCutShiftPaste:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             cut_shift_paste_check("bogus", 1, 0)
+
+    def test_named_families_are_the_accepted_names(self):
+        families = named_families()
+        assert [f.name for f in families.values()] == list(families)
+        for name in families:
+            assert cut_shift_paste_check(name, 1, 0, horizon=5000).passed
+        for name in ("Syndetic", "density", ""):
+            with pytest.raises(ValueError):
+                cut_shift_paste_check(name, 1, 0)
+
+    @pytest.mark.parametrize("name", list(named_families()))
+    def test_sampler_yields_members(self, name):
+        # below about H = 5000 the samples need not be members: infinite at
+        # H = 2000 misses the recency evidence now and then
+        fam = named_families()[name]
+        for horizon in (5000, 10_000, 20_000):
+            rng = np.random.default_rng(horizon)
+            for _ in range(40):
+                assert fam(fam.sample(rng, horizon), Thresholds()), horizon
 
 
 class TestMinimalitySeparation:

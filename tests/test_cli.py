@@ -248,6 +248,13 @@ class TestRunner:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out/experiments").exists()
 
+    def test_unknown_family_exits_two_at_its_line(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "[suite x]\ncheck = cut-shift-paste\n"
+                         "family = bogus\ntrials = 5\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "configuration error: line 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_run_seed_seeds_suites_without_their_own(self, tmp_path):
         cfg = self.write(tmp_path, "[suite csp]\ncheck = cut-shift-paste\n"
                          "trials = 5\nhorizon = 2000\n")

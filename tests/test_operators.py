@@ -241,6 +241,17 @@ class TestShift:
         d = diff_seminorm(L2, 0, y, x)
         assert d == ExactSqrt(Fraction(1, 4 ** 11))
 
+    def test_first_coordinate_of_the_space(self):
+        # on power series the constant term is a coordinate: e_1 -> w_1 e_0
+        space = EntireCoefficients(4)
+        b = WeightedBackwardShift(Rule("2"), space)
+        e1 = SparseVector.unit(space, 1)
+        assert apply(b, e1).entries == ((0, Fraction(2)),)
+        x = SparseVector.from_pairs(space, [(1, Fraction(1)), (2, Fraction(1, 3)),
+                                            (4, Fraction(5))])
+        assert power_apply(b, x, 2).entries == apply(b, apply(b, x)).entries \
+            == ((0, Fraction(4, 3)), (2, Fraction(20)))
+
 
 class TestRules:
     def test_is_exact_needs_integer_exponents(self):
@@ -386,6 +397,13 @@ class TestAffineComposition:
         f = SparseVector.from_pairs(space, [(5, Fraction(1))])
         img = power_apply(op, f, 40)
         assert max(d for d, _ in img.entries) == 5
+
+    def test_image_lies_on_the_vector_space(self):
+        op = AffineComposition(Fraction(-1), Fraction(0), EntireCoefficients(4))
+        space = EntireCoefficients(4, (Fraction(1), Fraction(3)))
+        x = SparseVector.unit(space, 1)
+        assert apply(op, x).space == power_apply(op, x, 3).space == space
+        assert apply(op, x).add(x).is_zero      # f(-z) + f(z) = 0 for f = z
 
 
 class TestSeminorms:

@@ -112,6 +112,14 @@ class TestOneProfilePerGrid:
                         [Fraction(1, 2), Fraction(0)], (0,), 100)
         assert profiles.call_count == 0
 
+    @pytest.mark.parametrize("turns", ["n/4", "n/67"])
+    def test_profile_checks_seminorm_indices(self, turns):
+        # n/4 takes the periodic branch (period 4 <= N + 1), n/67 the diagonal
+        # closed form
+        with pytest.raises(ValueError, match="seminorm index"):
+            distance_profile(Diagonal(turns=Rule(turns)),
+                             SparseVector.unit(L2, 3), (3,), 5)
+
     def test_execute_experiment(self, profiles):
         spec = parse_config("""
 [experiment jordan]
