@@ -9,7 +9,8 @@ claims are deliberately out of reach; the classifier layer owns thresholds.
 Implemented calculus:
 
 * lower / upper running density and the sliding-window (Banach-type)
-  density over a schedule of window lengths;
+  density over a schedule of window lengths, read from the sorted member
+  array and one rank table ``card(A & [0, N])``;
 * bounded-gap certificates with censored boundary handling;
 * finite-sums sets (all sums of distinct generators) and a three-valued
   probe for membership in the dual family of sets meeting every
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -246,22 +247,31 @@ class DensityReport:
             raise ValueError("density chain violated")
 
 
-def _curve_samples(burn_in: int, horizon: int, points: int = 64) -> list[int]:
-    if horizon <= burn_in:
-        return [horizon]
+@lru_cache(maxsize=256)
+def _curve_samples(burn_in: int, horizon: int, points: int = 64) -> np.ndarray:
+    """The sample points of the running-density curve, as a read-only array."""
     ns = {burn_in, horizon}
     span = horizon - burn_in
     for i in range(1, points):
         ns.add(burn_in + int(span * (i / points) ** 2))
-    return sorted(ns)
+    out = np.array(sorted(ns), dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def density_report(window: IndexWindow, burn_in: Optional[int] = None,
                    schedule: Optional[Sequence[int]] = None) -> DensityReport:
-    """One-pass density estimation over the observed window.
+    """Density estimation from the sorted member array and one rank table.
 
-    Running densities come from a cumulative count; each window length in the
-    schedule is swept by a sliding window in a single pass.
+    ``rank[N] = card(A & [0, N])`` is the only horizon-length array (int32
+    below horizon 2^31 - 1); everything else is read at the members.  The
+    running density ``rank[N] / (N+1)`` rises only at a member and falls
+    between members, so over ``[burn_in, H]`` its maximum is at ``burn_in``
+    or at a member ``a_i``, where it is ``(i+1)/(a_i+1)``, and its minimum
+    at ``burn_in``, at H or at ``a_i - 1``, where it is ``i/a_i``.  Sliding
+    a window ``[j, j+L]`` right from a non-member start loses nothing, so the
+    fullest one starts at a member ``<= H-L`` or at ``H-L``.  Every ratio is
+    one float division of exact integers.
     """
     h = window.horizon
     if h == 0:
@@ -278,22 +288,31 @@ def density_report(window: IndexWindow, burn_in: Optional[int] = None,
     if not 0 <= burn_in < h:
         raise ConfigurationError("burn_in must satisfy 0 <= burn_in < horizon")
 
-    csum = np.cumsum(window.mask, dtype=np.int64)          # csum[N] = card(A & [0, N])
-    running = csum / np.arange(1, h + 2, dtype=np.float64)
-    lower = float(running[burn_in:].min())
-    upper = float(running[burn_in:].max())
+    a = window.array
+    count = a.size
+    rank = np.cumsum(window.mask, dtype=np.int32 if h < 2 ** 31 - 1 else np.int64)
+    i = np.arange(count, dtype=rank.dtype)
+    first = int(np.searchsorted(a, burn_in))        # a[first:] >= burn_in
+    after = int(rank[burn_in])                      # a[after:] > burn_in
+    start = after / (burn_in + 1)
+    ups = i[first:] + 1.0                           # exact below 2^53
+    ups /= a[first:] + 1.0
+    upper = float(ups.max(initial=start))
+    lower = float((i[after:] / a[after:]).min(initial=min(start, count / (h + 1))))
 
     banach_curve = []
     for L in sorted(schedule):
-        counts = csum[L:].copy()
-        counts[1:] -= csum[: h - L]
-        banach_curve.append((L, float(counts.max() / (L + 1))))
+        m = int(rank[h - L])                        # members <= H - L
+        tail = count - (int(rank[h - L - 1]) if h > L else 0)   # in [H - L, H]
+        fullest = int((rank[a[:m] + L] - i[:m]).max(initial=tail))
+        banach_curve.append((L, fullest / (L + 1)))
     l_max = max(schedule)
     raw = dict(banach_curve)[l_max]
     banach = max(raw, upper)
 
-    cert = syndetic_certificate(window) if window.count else None
-    curve = tuple((n, float(running[n])) for n in _curve_samples(burn_in, h))
+    cert = syndetic_certificate(window) if count else None
+    ns = _curve_samples(burn_in, h)
+    curve = tuple(zip(ns.tolist(), (rank[ns] / (ns + 1)).tolist()))
     return DensityReport(
         lower_est=lower,
         upper_est=upper,
@@ -371,16 +390,20 @@ class IpProbeResult:
 
 def arithmetic_certificate(window: IndexWindow) -> Optional[int]:
     """Smallest k found with ``k*N0 & [0,H] <= A`` (k up to sqrt(H) plus the
-    gcd of the elements), or None."""
-    mask = window.mask
-    if not mask[0]:
+    gcd of the elements), or None.
+
+    Only a member k whose ``H//k + 1`` multiples fit in the count is tried.
+    """
+    a, h = window.array, window.horizon
+    if not a.size or a[0]:
         return None
-    candidates = list(range(1, math.isqrt(window.horizon) + 1))
-    g = int(np.gcd.reduce(window.array))
-    if g > (candidates[-1] if candidates else 0):
+    root = math.isqrt(h)
+    candidates = a[1:np.searchsorted(a, root, "right")].tolist()
+    g = int(np.gcd.reduce(a))
+    if g > root:
         candidates.append(g)
     for k in candidates:
-        if mask[::k].all():
+        if h // k < a.size and window.mask[::k].all():
             return k
     return None
 

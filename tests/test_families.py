@@ -11,6 +11,7 @@ from recurlab.families import ConfigurationError
 
 from conftest import (oracle_running_extrema, oracle_window_max,
                       oracle_window_max_bisect, random_structured_window)
+from test_orbits import peak_growth_mib
 
 
 class TestIndexWindow:
@@ -97,6 +98,18 @@ class TestDensityReport:
                 for length, value in rep.banach_curve:
                     if length >= g and w.elements[-1] >= length:
                         assert value >= 1 / (g + 1) - 1 / (length + 1) - 1e-12
+
+    def test_reads_one_rank_table(self):
+        # 10^5 members at H = 10^7: int64 running sums, a float running
+        # density and a copy per window length raised the peak by about
+        # 315 MiB; the bool mask, the int32 rank table and the member-length
+        # gathers raise it by about 87 MiB
+        grown = peak_growth_mib(
+            "import numpy as np\n"
+            "from recurlab import IndexWindow, density_report\n",
+            "density_report(IndexWindow(np.arange(0, 10 ** 7 + 1, 97), 10 ** 7),"
+            " burn_in=10 ** 6)\n")
+        assert grown <= 120.0, f"peak RSS grew by {grown} MiB"
 
     def test_errors(self):
         w = IndexWindow.residue(2, 0, 100)

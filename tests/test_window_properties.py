@@ -5,20 +5,24 @@ subset of [0, H], including the empty set, {0} and the full range.  The
 views (``elements``, ``array``, ``mask``, ``member_set``, ``count``, ``in``)
 agree with that subset, and translation, dilation, contraction and
 cut-shift-paste equal their set definitions written in plain Python.  The
-finite-sums routines equal brute-force enumeration of subset sums.
+finite-sums routines equal brute-force enumeration of subset sums, and the
+density report and the arithmetic certificate equal their definitions
+evaluated by counting, float for float.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recurlab import (CutShiftPaste, IndexWindow, SetPredicate, contract,
-                      cut_shift_paste, dilate, ip_generate, ip_star_probe)
+                      cut_shift_paste, density_report, dilate, ip_generate,
+                      ip_star_probe)
 from recurlab.families import arithmetic_certificate, witness_floor
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -187,3 +191,78 @@ def test_ip_generate_matches_subset_enumeration(gens, depth, h):
     gens = sorted(gens)
     want = sorted(s for s in subset_sums(gens, depth) if 0 < s <= h)
     assert ip_generate(gens, depth, h) == IndexWindow(want, h)
+
+
+@st.composite
+def density_cases(draw):
+    """A subset of [0, h] with h >= 1, a burn-in (sometimes on a member) and
+    a schedule of one to four window lengths, repeats allowed."""
+    members, h = draw(subsets())
+    h = max(h, 1)
+    on_member = sorted(n for n in members if n < h)
+    if on_member and draw(st.booleans()):
+        burn_in = draw(st.sampled_from(on_member))
+    else:
+        burn_in = draw(st.integers(0, h - 1))
+    lengths = st.one_of(st.integers(1, h), st.sampled_from((1, h)))
+    schedule = tuple(draw(st.lists(lengths, min_size=1, max_size=4)))
+    return members, h, burn_in, schedule
+
+
+def running_density(members, n):
+    return sum(1 for m in members if m <= n) / (n + 1)
+
+
+def fullest_window(members, h, length):
+    """card(A & [j, j+length]) / (length+1), maximised over j in [0, h-length]."""
+    best = max(sum(1 for m in members if j <= m <= j + length)
+               for j in range(h - length + 1))
+    return best / (length + 1)
+
+
+def curve_points(burn_in, h, points=64):
+    span = h - burn_in
+    return sorted({burn_in, h} | {burn_in + int(span * (i / points) ** 2)
+                                  for i in range(1, points)})
+
+
+@PROPERTY
+@given(density_cases())
+@example((frozenset(), 5, 0, (1, 5)))
+@example((frozenset({0}), 7, 3, (1,)))
+@example((frozenset({9}), 9, 0, (9, 9)))
+@example((frozenset(range(11)), 10, 4, (1, 3, 3, 10)))
+@example((frozenset({2, 5, 6, 11}), 12, 5, (12, 1, 4, 4)))
+def test_density_report_equals_counting_definitions(case):
+    members, h, burn_in, schedule = case
+    rep = density_report(IndexWindow(sorted(members), h), burn_in, schedule)
+    running = [running_density(members, n) for n in range(burn_in, h + 1)]
+    assert rep.lower_est == min(running)
+    assert rep.upper_est == max(running)
+    banach = tuple((L, fullest_window(members, h, L)) for L in sorted(schedule))
+    assert rep.banach_curve == banach
+    assert rep.banach_raw == fullest_window(members, h, max(schedule))
+    assert rep.banach_upper_est == max(rep.banach_raw, max(running))
+    assert rep.running_density_curve == tuple(
+        (n, running_density(members, n)) for n in curve_points(burn_in, h))
+
+
+def smallest_arithmetic_k(members, h):
+    """The smallest k in 1..isqrt(h), or else the gcd of the members, whose
+    multiples in [0, h] all lie in A."""
+    if 0 not in members:
+        return None
+    root = math.isqrt(h)
+    g = math.gcd(*members)
+    ks = [*range(1, root + 1), *([g] if g > root else [])]
+    return next((k for k in ks
+                 if all(n in members for n in range(0, h + 1, k))), None)
+
+
+@PROPERTY
+@given(subsets(), st.integers(1, 12))
+def test_arithmetic_certificate_equals_brute_force(sub, k):
+    members, h = sub
+    for candidate in (members, members | set(range(0, h + 1, k))):
+        window = IndexWindow(sorted(candidate), h)
+        assert arithmetic_certificate(window) == smallest_arithmetic_k(candidate, h)
