@@ -198,29 +198,19 @@ def run_config(config: RunConfig, out_dir: Path, workers: int = 1,
 
 
 def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--workers", type=int, default=1)
-    common.add_argument("--precision", default="exact",
-                        help="exact | float:<digits>")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--seed", type=int, default=0)
     parser = argparse.ArgumentParser(
         prog="recurlab",
-        description="recurrence-in-linear-dynamics experiment runner",
-        parents=[common])
+        description="recurrence-in-linear-dynamics experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="execute a config file", parents=[common])
+    run_p = sub.add_parser("run", help="execute a config file")
     run_p.add_argument("config", type=Path)
-    desc_p = sub.add_parser("describe", help="describe an operator literal",
-                            parents=[common])
+    run_p.add_argument("--workers", type=int, default=1)
+    run_p.add_argument("--precision", default="exact", help="exact | float:<digits>")
+    run_p.add_argument("--out", default=None, help="output directory")
+    run_p.add_argument("--seed", type=int, default=0)
+    desc_p = sub.add_parser("describe", help="describe an operator literal")
     desc_p.add_argument("literal")
     args = parser.parse_args(argv)
-
-    if args.precision != "exact":
-        if not (args.precision.startswith("float:")
-                and args.precision[6:].isdigit()):
-            print(f"bad --precision {args.precision!r}", file=sys.stderr)
-            return 2
 
     if args.command == "describe":
         try:
@@ -229,6 +219,12 @@ def main(argv=None) -> int:
             print(f"configuration error: {err}", file=sys.stderr)
             return 2
         return 0
+
+    if args.precision != "exact":
+        if not (args.precision.startswith("float:")
+                and args.precision[6:].isdigit()):
+            print(f"bad --precision {args.precision!r}", file=sys.stderr)
+            return 2
 
     try:
         config = parse_config(args.config.read_text(), seed=args.seed)

@@ -1,10 +1,11 @@
 """Run-config parsing: the one module that reads config text.
 
-``parse_config`` reads every field of every section through one reader, so
-an unknown field or a malformed value raises ``ConfigError`` with its line
-before anything runs, and it turns each ``[suite]`` into a ``SuiteSpec`` whose
-``run`` is a ``checks`` function with its arguments parsed.  A config is a
-sequence of sections::
+``parse_config`` reads every field of every section through one reader, with
+one parser per field key, so an unknown field or a malformed value raises
+``ConfigError`` with its line before anything runs.  Each ``[suite]`` kind is
+one row of ``suite_kinds()``: its ``checks`` function and its fields; the
+suite becomes a ``SuiteSpec`` whose ``run`` is that function with its
+arguments parsed.  A config is a sequence of sections::
 
     [experiment NAME]
     operator = blockcycle
@@ -35,7 +36,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import checks
 from .families import IndexWindow, SetPredicate, ip_generate
@@ -47,9 +48,9 @@ from .rules import Rule, RuleSyntaxError
 from .values import Phase, Value, to_complex
 
 __all__ = [
-    "ConfigError", "RunConfig", "ExperimentSpec", "SuiteSpec",
+    "ConfigError", "RunConfig", "ExperimentSpec", "SuiteSpec", "SuiteKind", "Field",
     "parse_config", "parse_operator", "parse_vector", "parse_scalar",
-    "parse_set_expression", "describe_operator",
+    "parse_set_expression", "describe_operator", "suite_kinds",
 ]
 
 
@@ -82,23 +83,14 @@ def parse_scalar(text: str) -> Value:
         return Phase(Fraction(1), rule(0))
     if t.endswith("i") and not t.endswith("pi"):
         mm = _COMPLEX_RE.match(t.replace(" ", ""))
-        if mm:
-            re_part = mm.group("re")
-            im_part = mm.group("im")
-            if im_part is None:
-                # a single number directly before i is purely imaginary
-                real = Fraction(0)
-                imag = Fraction(re_part) if re_part else Fraction(1)
-            else:
-                real = Fraction(re_part) if re_part else Fraction(0)
-                if im_part in ("+", "-"):
-                    imag = Fraction(1 if im_part == "+" else -1)
-                else:
-                    imag = Fraction(im_part)
-            if real == 0 and imag == 0:
-                return Fraction(0)
-            return complex(float(real), float(imag))
-        raise ConfigError(f"malformed complex literal {text!r}")
+        if not mm:
+            raise ConfigError(f"malformed complex literal {text!r}")
+        re_part, im_part = mm["re"] or "0", mm["im"]
+        if im_part is None:     # a single number directly before i is purely imaginary
+            re_part, im_part = "0", mm["re"] or "1"
+        real = Fraction(re_part)
+        imag = Fraction(im_part + "1" if im_part in ("+", "-") else im_part)
+        return complex(float(real), float(imag)) if real or imag else Fraction(0)
     try:
         return Fraction(t)
     except ValueError as err:
@@ -118,8 +110,7 @@ def _split_top(text: str, sep: str = ",") -> list[str]:
             cur = []
         else:
             cur.append(ch)
-    if cur or out:
-        out.append("".join(cur))
+    out.append("".join(cur))
     return [p.strip() for p in out if p.strip()]
 
 
@@ -129,35 +120,26 @@ def _split_top(text: str, sep: str = ",") -> list[str]:
 
 def parse_operator(text: str) -> Operator:
     t = text.strip()
-    if t == "blockcycle":
-        return BlockCycle()
-    if t == "rowrotation":
-        return RowRotation()
-    if t.startswith("matrix(") and t.endswith(")"):
-        return _parse_matrix(t[7:-1])
-    if t.startswith("shift(") and t.endswith(")"):
-        return _parse_shift(t[6:-1])
-    if t.startswith("diag(") and t.endswith(")"):
-        return _parse_diag(t[5:-1])
-    if t.startswith("comp(") and t.endswith(")"):
-        return _parse_comp(t[5:-1])
-    raise ConfigError(f"unknown operator literal {text!r}")
+    if t in ("blockcycle", "rowrotation"):
+        return BlockCycle() if t == "blockcycle" else RowRotation()
+    head, _, body = t.partition("(")
+    parse = {"matrix": _parse_matrix, "shift": _parse_shift, "diag": _parse_diag,
+             "comp": _parse_comp}.get(head)
+    if parse is None or not body.endswith(")"):
+        raise ConfigError(f"unknown operator literal {text!r}")
+    return parse(body[:-1])
 
 
 def _parse_matrix(body: str) -> Matrix:
     b = body.strip()
     if not (b.startswith("[[") and b.endswith("]]")):
         raise ConfigError("matrix literal needs [[...],[...]] rows")
-    rows_text = _split_top(b[1:-1])
     rows = []
-    for rt in rows_text:
-        rt = rt.strip()
+    for rt in _split_top(b[1:-1]):
         if not (rt.startswith("[") and rt.endswith("]")):
             raise ConfigError(f"malformed matrix row {rt!r}")
-        entries = [to_complex(parse_scalar(e)) for e in _split_top(rt[1:-1])]
-        rows.append(tuple(entries))
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+        rows.append(tuple(to_complex(parse_scalar(e)) for e in _split_top(rt[1:-1])))
+    if any(len(r) != len(rows) for r in rows):
         raise ConfigError("matrix must be square")
     return Matrix(tuple(rows))
 
@@ -180,10 +162,9 @@ def _parse_shift(body: str) -> WeightedBackwardShift:
         raise ConfigError("shift side must be uni: the space is indexed from 1, "
                           "so there is no bilateral shift on it")
     try:
-        rule = Rule(kw["weights"])
+        return WeightedBackwardShift(Rule(kw["weights"]))
     except RuleSyntaxError as err:
         raise ConfigError(str(err)) from err
-    return WeightedBackwardShift(rule)
 
 
 def _parse_diag(body: str) -> Diagonal:
@@ -198,13 +179,10 @@ def _parse_diag(body: str) -> Diagonal:
 
 def _parse_comp(body: str) -> AffineComposition:
     kw = _parse_kwargs(body)
-    for key in ("a", "b"):
-        if key not in kw:
-            raise ConfigError("comp(...) needs a= and b=")
-    a = parse_scalar(kw["a"])
-    b = parse_scalar(kw["b"])
-    deg = int(kw.get("deg", "8"))
-    return AffineComposition(a, b, EntireCoefficients(deg))
+    if not {"a", "b"} <= kw.keys():
+        raise ConfigError("comp(...) needs a= and b=")
+    return AffineComposition(parse_scalar(kw["a"]), parse_scalar(kw["b"]),
+                             EntireCoefficients(int(kw.get("deg", "8"))))
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +279,8 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class SuiteSpec:
-    """One ``[suite]``: its check kind and that check with parsed arguments."""
+    """One ``[suite]``: its check with every argument parsed."""
     name: str
-    check: str
     run: Callable[[], checks.CheckOutcome]
 
 
@@ -314,16 +291,86 @@ class RunConfig:
     output_dir: str = "results"
 
 
+class Field(NamedTuple):
+    """A section field: its key, its default (None: required; a format string
+    over ``seed`` and the fields read before it) and its value's class."""
+    key: str
+    default: Optional[str] = None
+    cls: type = object
+
+
+class SuiteKind(NamedTuple):
+    """A ``[suite]`` check kind: ``check`` runs on the values of ``fields``,
+    read in this order, or on the values ``args`` names."""
+    name: str
+    check: Callable[..., checks.CheckOutcome]
+    fields: tuple[Field, ...]
+    args: tuple[str, ...] = ()
+
+    def build(self, values: dict) -> Callable[[], checks.CheckOutcome]:
+        keys = self.args or [f.key for f in self.fields]
+        return partial(self.check, *(values[k] for k in keys))
+
+
+_EXPERIMENT = (Field("operator"), Field("vector"), Field("epsilons"),
+               Field("seminorms", "0"), Field("horizon"), Field("seed", "0"))
+
+
+def suite_kinds() -> dict[str, SuiteKind]:
+    """The ``[suite]`` check kinds by name; README's suite table lists them.
+
+    Built on each call, so that a row runs the ``checks`` function the module
+    holds when the config is parsed.
+    """
+    op, x, diag = Field("operator"), Field("vector"), Field("operator", cls=Diagonal)
+    eps, horizon = Field("epsilons", "1/2,1/5"), Field("horizon", "10000")
+    kinds = (
+        SuiteKind("kronecker", checks.kronecker_return_check,
+                  (Field("turns"), Field("epsilon", "1/2"), horizon)),
+        SuiteKind("cut-shift-paste", checks.cut_shift_paste_check,
+                  (Field("family", "syndetic"), Field("trials", "100"),
+                   Field("seed", "{seed}"), Field("horizon", "20000"))),
+        SuiteKind("matrix-criterion", checks.matrix_criterion_check,
+                  (Field("operator", cls=Matrix), eps, horizon)),
+        SuiteKind("diagonal-criterion", checks.diagonal_criterion_check,
+                  (diag, Field("sample", "4"), eps, horizon)),
+        SuiteKind("power-consistency", checks.power_consistency_check,
+                  (op, x, Field("p", "2"), eps, horizon, Field("seminorms", "0"))),
+        SuiteKind("scaling-consistency", checks.scaling_consistency_check,
+                  (op, x, Field("factor", "rot(1/3)"), eps, horizon, Field("seminorms", "0"))),
+        SuiteKind("shift-series", checks.shift_series_check,
+                  (horizon, Field("weights", "2"), Field("support", "intervals(1-{horizon})"),
+                   Field("threshold", "10")), args=("weights", "support", "threshold")),
+        SuiteKind("translation-invariance", checks.translation_invariance_check,
+                  (horizon, Field("window", "residue(3,0)"), Field("m", "7")),
+                  args=("window", "m")),
+        SuiteKind("minimality-separation", checks.minimality_separation_check,
+                  (op, x, Field("reference"), horizon, Field("seminorm", "0"))),
+        SuiteKind("eigenvector-span", checks.eigenvector_span_check,
+                  (diag, Field("coefficients", "1"), eps, horizon),
+                  args=("operator", "eigenpairs", "coefficients", "epsilons", "horizon")),
+    )
+    return {kind.name: kind for kind in kinds}
+
+
 def parse_config(text: str, seed: int = 0) -> RunConfig:
     """Parse and check a whole config; ``seed`` is the suites' default seed."""
     experiments, suites = [], []
     output_dir = "results"
+    kinds = suite_kinds()
     for kind, name, fields, line_no in _sections(text):
         sec = _Section(f"{kind} {name!r}" if name else f"[{kind}]", fields, line_no)
         if kind == "experiment":
-            experiments.append(_experiment(sec, name))
+            v = sec.values(_EXPERIMENT)
+            experiments.append(ExperimentSpec(
+                name, fields["operator"][0], fields["vector"][0], v["epsilons"],
+                v["seminorms"], v["horizon"], v["seed"]))
         elif kind == "suite":
-            suites.append(SuiteSpec(name, sec.get("check"), _suite_check(sec, seed)))
+            check = sec.get("check")
+            if check not in kinds:
+                raise ConfigError(f"unknown check kind {check!r} in {sec.label}", line_no)
+            row = kinds[check]
+            suites.append(SuiteSpec(name, row.build(sec.values(row.fields, seed=seed))))
         else:
             output_dir = sec.get("directory", default=output_dir)
         sec.check_all_read()
@@ -385,127 +432,79 @@ class _Section:
         except (ValueError, ArithmeticError) as err:
             raise ConfigError(f"{self.label}, field {key!r}: {err}", line) from err
 
+    def values(self, fields: tuple[Field, ...], **context) -> dict:
+        """``context`` and the value of each field, read in order by its key's
+        parser."""
+        values = dict(context)
+        parsers = _parsers(values)
+        for key, default, cls in fields:
+            value = values[key] = self.get(key, parsers[key],
+                                           default and default.format_map(values))
+            if not isinstance(value, cls):
+                raise ConfigError(f"{self.label} needs a {cls.__name__} {key}",
+                                  self.fields[key][1])
+        return values
+
     def check_all_read(self) -> None:
         for key, (_, line) in self.fields.items():
             if key not in self.read:
                 raise ConfigError(f"{self.label} has no field {key!r}", line)
 
 
-def _horizon(text: str) -> int:
-    horizon = int(text)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    return horizon
+def _parsers(v: dict) -> dict[str, Callable[[str], Any]]:
+    """The one parser of each field key; ``v`` holds the fields read before."""
 
+    def horizon(text):
+        if int(text) < 1:
+            raise ValueError("horizon must be >= 1")
+        return int(text)
 
-def _epsilons(text: str) -> tuple[Fraction, ...]:
-    eps = tuple(Fraction(e) for e in _split_top(text))
-    if not eps or any(e <= 0 for e in eps) or len(set(eps)) != len(eps):
-        raise ValueError("epsilons must be positive and distinct")
-    return eps
+    def epsilons(text):
+        eps = tuple(Fraction(e) for e in _split_top(text))
+        if not eps or any(e <= 0 for e in eps) or len(set(eps)) != len(eps):
+            raise ValueError("epsilons must be positive and distinct")
+        return eps
 
+    def seminorm(text):
+        return check_seminorm_index(v["operator"].space, int(text))
 
-def _seminorm(op: Operator, text: str) -> int:
-    return check_seminorm_index(op.space, int(text))
+    def seminorms(text):
+        indices = tuple(seminorm(s) for s in _split_top(text))
+        if not indices:
+            raise ValueError("need at least one seminorm index")
+        return indices
 
+    def turns(text):
+        # each turn reduced mod 1: a Fraction, or a float once sqrt enters
+        rules = [Rule(t) for t in text.split(",")]
+        if any(rule.uses_n for rule in rules):
+            raise ValueError("turns must not depend on n")
+        return [rule(0) % 1 for rule in rules]
 
-def _seminorms(op: Operator, text: str) -> tuple[int, ...]:
-    indices = tuple(_seminorm(op, s) for s in _split_top(text))
-    if not indices:
-        raise ValueError("need at least one seminorm index")
-    return indices
+    def family(name):
+        if name not in checks.named_families():
+            raise ValueError(f"unknown family {name!r}")
+        return name
 
+    def coefficients(text):
+        # one eigenpair per coefficient: a diagonal's unit coordinates
+        op, coeffs = v["operator"], [parse_scalar(c) for c in text.split(",")]
+        v["eigenpairs"] = [(op.entry(k), SparseVector.unit(op.space, k))
+                           for k in range(1, len(coeffs) + 1)]
+        return coeffs
 
-def _family(name: str) -> str:
-    if name not in checks.named_families():
-        raise ValueError(f"unknown family {name!r}")
-    return name
-
-
-def _turn(t: str):
-    return float(Rule(t)(0)) % 1.0 if "sqrt" in t else Fraction(t) % 1
-
-
-def _operator(sec: _Section, cls: type = Operator) -> Operator:
-    op = sec.get("operator", parse_operator)
-    if not isinstance(op, cls):
-        raise ConfigError(f"{sec.label} needs a {cls.__name__} operator",
-                          sec.fields["operator"][1])
-    return op
-
-
-def _operator_vector(sec: _Section):
-    op = _operator(sec)
-    return op, sec.get("vector", partial(parse_vector, op=op))
-
-
-def _experiment(sec: _Section, name: str) -> ExperimentSpec:
-    op, _ = _operator_vector(sec)   # fail fast on malformed literals
-    return ExperimentSpec(
-        name, sec.get("operator"), sec.get("vector"), sec.get("epsilons", _epsilons),
-        sec.get("seminorms", partial(_seminorms, op), "0"),
-        sec.get("horizon", _horizon),
-        sec.get("seed", int, "0"))
-
-
-def _suite_check(sec: _Section, seed: int) -> Callable[[], checks.CheckOutcome]:
-    """The suite's check with every argument parsed; README lists the kinds."""
-    kind = sec.get("check")
-    horizon = sec.get("horizon", _horizon,
-                      "20000" if kind == "cut-shift-paste" else "10000")
-    epsilons = partial(sec.get, "epsilons", _epsilons, "1/2,1/5")
-    index_set = partial(parse_set_expression, horizon=horizon)
-    if kind == "kronecker":
-        turns = sec.get("turns", lambda t: [_turn(s) for s in t.split(",")])
-        eps = sec.get("epsilon", lambda t: float(Fraction(t)), "1/2")
-        return partial(checks.kronecker_return_check, turns, eps, horizon)
-    if kind == "cut-shift-paste":
-        return partial(checks.cut_shift_paste_check,
-                       sec.get("family", _family, "syndetic"),
-                       sec.get("trials", int, "100"),
-                       sec.get("seed", int, str(seed)), horizon)
-    if kind == "matrix-criterion":
-        return partial(checks.matrix_criterion_check, _operator(sec, Matrix),
-                       epsilons(), horizon)
-    if kind == "diagonal-criterion":
-        return partial(checks.diagonal_criterion_check, _operator(sec, Diagonal),
-                       sec.get("sample", int, "4"), epsilons(), horizon)
-    if kind == "power-consistency":
-        op, x = _operator_vector(sec)
-        return partial(checks.power_consistency_check, op, x,
-                       sec.get("p", int, "2"), epsilons(), horizon,
-                       seminorms=sec.get("seminorms", partial(_seminorms, op), "0"))
-    if kind == "scaling-consistency":
-        op, x = _operator_vector(sec)
-        return partial(checks.scaling_consistency_check, op, x,
-                       sec.get("factor", parse_scalar, "rot(1/3)"), epsilons(),
-                       horizon,
-                       seminorms=sec.get("seminorms", partial(_seminorms, op), "0"))
-    if kind == "shift-series":
-        return partial(checks.shift_series_check, sec.get("weights", Rule, "2"),
-                       sec.get("support", index_set, f"intervals(1-{horizon})"),
-                       sec.get("threshold", float, "10"))
-    if kind == "translation-invariance":
-        return partial(checks.translation_invariance_check,
-                       sec.get("window", index_set, "residue(3,0)"),
-                       sec.get("m", int, "7"))
-    if kind == "minimality-separation":
-        op, x = _operator_vector(sec)
-        return partial(checks.minimality_separation_check, op, x,
-                       sec.get("reference", partial(parse_vector, op=op)), horizon,
-                       seminorm_index=sec.get("seminorm", partial(_seminorm, op), "0"))
-    if kind == "eigenvector-span":
-        # diagonal operators carry their eigenvectors: unit coordinates
-        op = _operator(sec, Diagonal)
-
-        def eigenpairs(text):
-            coeffs = [parse_scalar(c) for c in text.split(",")]
-            return coeffs, [(op.entry(k), SparseVector.unit(op.space, k))
-                            for k in range(1, len(coeffs) + 1)]
-        coeffs, pairs = sec.get("coefficients", eigenpairs, "1")
-        return partial(checks.eigenvector_span_check, op, pairs, coeffs,
-                       epsilons(), horizon)
-    raise ConfigError(f"unknown check kind {kind!r} in {sec.label}", sec.line)
+    return {
+        "operator": parse_operator,
+        "vector": lambda t: parse_vector(t, v["operator"]),
+        "reference": lambda t: parse_vector(t, v["operator"]),
+        "support": lambda t: parse_set_expression(t, v["horizon"]),
+        "window": lambda t: parse_set_expression(t, v["horizon"]),
+        "epsilons": epsilons, "epsilon": lambda t: float(Fraction(t)),
+        "seminorms": seminorms, "seminorm": seminorm, "horizon": horizon,
+        "seed": int, "trials": int, "sample": int, "p": int, "m": int,
+        "threshold": float, "turns": turns, "family": family,
+        "factor": parse_scalar, "weights": Rule, "coefficients": coefficients,
+    }
 
 
 # ---------------------------------------------------------------------------

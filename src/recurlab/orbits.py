@@ -63,7 +63,7 @@ from .operators import (BlockCycle, Diagonal, Matrix, Operator, Power,
                         RowRotation, RowState, Scaled, SparseVector, Vector,
                         apply, check_seminorm_index, diff_seminorm,
                         exact_state_period, power_apply, seminorm)
-from .values import ExactSqrt, Phase, norm_lt, to_complex, vabs
+from .values import ExactSqrt, norm_lt, to_complex, vabs, vmul
 
 __all__ = [
     "ReturnSetRecord", "GrowthCurve", "CoveringReport", "PowerBoundVerdict",
@@ -218,18 +218,9 @@ def _peel(op: Operator):
             stride *= op.p
         else:
             f = op.factor
-            factor = f if factor is None else _mul_factor(factor, f)
+            factor = f if factor is None else vmul(factor, f)
         op = op.base
     return op, factor, stride
-
-
-def _mul_factor(a, b):
-    """``a * b``, exact when both are Phases or Fractions."""
-    if isinstance(a, Phase) or isinstance(b, Phase):
-        return (a * b) if isinstance(a, Phase) else (b * a)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    return to_complex(a) * to_complex(b)
 
 
 def _distance(y: Vector, x: Vector, seminorms: tuple[int, ...]):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -133,6 +134,18 @@ class TestConfigParsing:
         bad = SMALL_CONFIG + "\n[experiment tiny-cycle]\n"
         with pytest.raises(ConfigError):
             parse_config(bad)
+
+    def test_kronecker_turns_are_constant_rules(self):
+        def turns(text):
+            [suite] = parse_config(f"[suite k]\ncheck = kronecker\nturns = {text}\n").suites
+            return suite.run.args[0]
+
+        assert [type(t) for t in turns("1/4, 0.25")] == [Fraction, Fraction]
+        assert turns("1/4, 0.25, 5/4") == [Fraction(1, 4)] * 3
+        # bit for bit the float of sqrt(2) reduced mod 1
+        assert turns("sqrt(2)") == [math.sqrt(2) % 1.0]
+        with pytest.raises(ConfigError, match="line 3: .*turns must not depend on n"):
+            turns("n/4")
 
     def test_unknown_content(self):
         with pytest.raises(ConfigError):
@@ -301,6 +314,19 @@ horizon = 100
         a, b = tmp_path / "serial", tmp_path / "par"
         for rel in sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file()):
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("option", [["--out", "elsewhere"], ["--workers", "2"],
+                                        ["--precision", "float:6"], ["--seed", "5"]],
+                             ids=lambda option: option[0])
+    def test_run_options_before_the_subcommand_exit_two(self, tmp_path, monkeypatch,
+                                                         option):
+        # the config's [output] directory is relative: a run would write there
+        monkeypatch.chdir(tmp_path)
+        cfg = self.write(tmp_path, SMALL_CONFIG)
+        with pytest.raises(SystemExit) as exited:
+            main([*option, "run", str(cfg)])
+        assert exited.value.code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_bad_precision_flag(self, tmp_path):
         cfg = self.write(tmp_path, SMALL_CONFIG)

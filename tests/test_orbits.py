@@ -190,6 +190,13 @@ def test_power_window_is_contracted_window(case, p, eps, horizon):
     assert powered.window == contract(base.window, p)
 
 
+def test_nested_scaled_factors_peel_to_an_exact_factor():
+    # an int factor times a Fraction stays exact, as values.vmul keeps it
+    base, factor, stride = orbits._peel(Scaled(Scaled(BlockCycle(), 2), Fraction(1, 2)))
+    assert base == BlockCycle() and stride == 1
+    assert type(factor) is Fraction and factor == 1
+
+
 class TestProfiles:
     def test_closed_forms_match_stepwise(self):
         cases = [
