@@ -104,7 +104,7 @@ def execute_experiment(spec: ExperimentSpec, precision: str = "exact") -> dict:
 
 
 def _degrade_vector(x):
-    if isinstance(x, SparseVector):
+    if x.space.first_coordinate is not None:
         return SparseVector.from_pairs(
             x.space, ((i, complex(to_complex(v))) for i, v in x.entries))
     return x

@@ -389,7 +389,7 @@ def _sections(text: str) -> list[tuple[str, str, dict, int]]:
             if not line.endswith("]"):
                 raise ConfigError("unterminated section header", line_no)
             head = line[1:-1].split(None, 1)
-            if head[0] == "output":
+            if head == ["output"]:
                 sections.append(("output", "", {}, line_no))
             elif len(head) == 2 and head[0] in ("experiment", "suite"):
                 if head[1] in names:
@@ -454,10 +454,12 @@ class _Section:
 def _parsers(v: dict) -> dict[str, Callable[[str], Any]]:
     """The one parser of each field key; ``v`` holds the fields read before."""
 
-    def horizon(text):
-        if int(text) < 1:
-            raise ValueError("horizon must be >= 1")
-        return int(text)
+    def at_least(low, key):
+        def parse(text):
+            if int(text) < low:
+                raise ValueError(f"{key} must be >= {low}")
+            return int(text)
+        return parse
 
     def epsilons(text):
         eps = tuple(Fraction(e) for e in _split_top(text))
@@ -500,8 +502,9 @@ def _parsers(v: dict) -> dict[str, Callable[[str], Any]]:
         "support": lambda t: parse_set_expression(t, v["horizon"]),
         "window": lambda t: parse_set_expression(t, v["horizon"]),
         "epsilons": epsilons, "epsilon": lambda t: float(Fraction(t)),
-        "seminorms": seminorms, "seminorm": seminorm, "horizon": horizon,
-        "seed": int, "trials": int, "sample": int, "p": int, "m": int,
+        "seminorms": seminorms, "seminorm": seminorm,
+        **{key: at_least(1, key) for key in ("horizon", "trials", "sample", "p")},
+        **{key: at_least(0, key) for key in ("m", "seed")},
         "threshold": float, "turns": turns, "family": family,
         "factor": parse_scalar, "weights": Rule, "coefficients": coefficients,
     }

@@ -232,8 +232,8 @@ class DyadicRowSpace(Space):
         xd, yd = ({(k, j): v for k, j, v in z.entries} for z in (x, y))
         zero = Fraction(0)
         pairs = ((c, xd.get(c, zero), yd.get(c, zero)) for c in xd.keys() | yd.keys())
-        return self.seminorm(index, FiniteRowVector(tuple(sorted(
-            (*c, _signed_diff(a, b)) for c, a, b in pairs if not _diff_is_zero(a, b)))))
+        return self.seminorm(index, FiniteRowVector(tuple(
+            (*c, _signed_diff(a, b)) for c, a, b in pairs if not _diff_is_zero(a, b))))
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +327,9 @@ class RowState:
     def hot_position(self, k: int) -> int:
         return (-self.offset) % (1 << k)
 
+    def rotate(self, steps: int = 1) -> "RowState":
+        return RowState(self.offset + steps)
+
     def materialize(self, max_row: int) -> "FiniteRowVector":
         """Rows k <= max_row of the pattern; the omitted first-sum mass is
         exactly 2^-max_row (certified tail)."""
@@ -336,7 +339,8 @@ class RowState:
 
 @dataclass(frozen=True)
 class FiniteRowVector:
-    """Finitely supported vector of the dyadic row space: (row, col, value)."""
+    """Finitely supported vector of the dyadic row space: (row, col, value)
+    cells, stored sorted by cell."""
 
     entries: tuple[tuple[int, int, Value], ...]
 
@@ -350,6 +354,8 @@ class FiniteRowVector:
             if (k, j) in seen:
                 raise ValueError("duplicate cell")
             seen.add((k, j))
+        # the cells are distinct, so sorting never compares two values
+        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
 
     @property
     def exact(self) -> bool:
@@ -360,8 +366,7 @@ class FiniteRowVector:
         return not self.entries
 
     def rotate(self, steps: int = 1) -> "FiniteRowVector":
-        moved = tuple(sorted((k, (j - steps) % (1 << k), v) for k, j, v in self.entries))
-        return FiniteRowVector(moved)
+        return FiniteRowVector(tuple((k, (j - steps) % (1 << k), v) for k, j, v in self.entries))
 
 
 Vector = Union[SparseVector, RowState, FiniteRowVector]
@@ -399,7 +404,7 @@ class Operator:
 
 
 def _sparse(op: Operator, x: Vector) -> SparseVector:
-    if not isinstance(x, SparseVector):
+    if x.space.first_coordinate is None:       # a space of cells has no SparseVector
         raise SpaceMismatch(f"{type(op).__name__} acts on sparse vectors")
     return x
 
@@ -469,9 +474,7 @@ class BlockCycle(Operator):
         return SparseVector.from_pairs(x.space, pairs.items())
 
     def period_bound(self, x):
-        if not isinstance(x, SparseVector):
-            return None
-        return math.lcm(*(1 << (i.bit_length() - 1) for i in x.support if i > 1))
+        return math.lcm(*(1 << (i.bit_length() - 1) for i in _sparse(self, x).support if i > 1))
 
     def fixes(self, x, n):
         """``T^n x = x`` in dyadic coordinates, with no weight ever built.
@@ -597,10 +600,8 @@ class Diagonal(Operator):
                       for i, v in _sparse(self, x).entries))
 
     def period_bound(self, x):
-        if not isinstance(x, SparseVector):
-            return None
         out = 1
-        for i in x.support:
+        for i in _sparse(self, x).support:
             o = _phase_order(self.entry(i))
             if o is None:
                 return None
@@ -633,11 +634,9 @@ class RowRotation(Operator):
         return self.power(x, 1)
 
     def power(self, x, n):
-        if isinstance(x, RowState):
-            return RowState(x.offset + n)
-        if isinstance(x, FiniteRowVector):
-            return x.rotate(n)
-        raise SpaceMismatch("row rotation acts on row-space vectors")
+        if x.space.first_coordinate is not None:
+            raise SpaceMismatch("row rotation acts on row-space vectors")
+        return x.rotate(n)
 
     def period_bound(self, x):
         if isinstance(x, FiniteRowVector):
@@ -701,9 +700,7 @@ class AffineComposition(Operator):
 
     def period_bound(self, x):
         # the symbol's order is a period of every f
-        if not isinstance(x, SparseVector):
-            return None
-        if all(i == 0 for i, _ in x.entries):
+        if all(i == 0 for i, _ in _sparse(self, x).entries):
             return 1
         if _is_one(self.a):
             return 1 if _is_zero(self.b) else None
@@ -810,10 +807,10 @@ class Scaled(Operator):
     space = property(lambda self: self.base.space)
 
     def apply(self, x):
-        return _scaled(self.base.apply(x), self.factor)
+        return _sparse(self, self.base.apply(x)).scale(self.factor)
 
     def power(self, x, n):
-        return _scaled(self.base.power(x, n), vpow(self.factor, n))
+        return _sparse(self, self.base.power(x, n)).scale(vpow(self.factor, n))
 
     def period_bound(self, x):
         b = self.base.period_bound(x)
@@ -889,12 +886,6 @@ def power_apply(op: Operator, x: Vector, n: int) -> Vector:
     return op.power(x, n)
 
 
-def _scaled(y: Vector, factor: Value) -> SparseVector:
-    if isinstance(y, SparseVector):
-        return y.scale(factor)
-    raise SpaceMismatch("scalar multiples need sparse-representable states")
-
-
 def _merge(a: Value, b: Value) -> Value:
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
         return Fraction(a) + Fraction(b)
@@ -922,22 +913,10 @@ def _stable_powers(lam: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def state_exact_eq(x: Vector, y: Vector) -> bool:
-    """Decidably exact state equality (False when floats are involved)."""
-    if isinstance(x, SparseVector) and isinstance(y, SparseVector):
-        if x.support != y.support:
-            return False
-        return all(is_exact(a) and is_exact(b) and exact_eq(a, b)
-                   for (_, a), (_, b) in zip(x.entries, y.entries))
-    if isinstance(x, RowState) and isinstance(y, RowState):
-        return x.offset == y.offset
-    if isinstance(x, FiniteRowVector) and isinstance(y, FiniteRowVector):
-        cells_x = {(k, j): v for k, j, v in x.entries}
-        cells_y = {(k, j): v for k, j, v in y.entries}
-        if cells_x.keys() != cells_y.keys():
-            return False
-        return all(is_exact(a) and is_exact(cells_y[c]) and exact_eq(a, cells_y[c])
-                   for c, a in cells_x.items())
-    return False
+    """Decidably exact state equality: equal states of one class and space,
+    both exact (False when floats are involved).  Equality runs first, so an
+    unequal pair is rejected before either ``exact`` walks its entries."""
+    return x == y and x.exact and y.exact
 
 
 def _phase_order(v: Value) -> Optional[int]:

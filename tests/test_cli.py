@@ -151,6 +151,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("stray = 1\n")
 
+    def test_output_section_takes_no_name(self):
+        # the name used to be dropped without a word
+        with pytest.raises(ConfigError, match="line 2: malformed section header"):
+            parse_config("\n[output results]\ndirectory = r\n")
+        assert parse_config("[output]\ndirectory = r\n").output_dir == "r"
+
 
 class TestRunner:
     def write(self, tmp_path, text) -> Path:

@@ -14,7 +14,7 @@ from recurlab import (AffineComposition, BlockCycle, Diagonal, EntireCoefficient
                       continuity_bound_check, continuity_bound_constant,
                       diff_seminorm, eigen_structure, exact_state_period,
                       power_apply, rot, seminorm, state_exact_eq)
-from recurlab.operators import Operator, PrecisionError
+from recurlab.operators import Operator, PrecisionError, SpaceMismatch
 from recurlab.values import diff_abs2, exact_eq, to_complex
 
 L2 = SequenceLp(2)
@@ -211,6 +211,34 @@ def test_a_bound_must_be_a_period(c, bound, period):
     assert exact_state_period(LyingBound(c, bound), x) == period
 
 
+def test_state_equality_is_equality_of_exact_states():
+    def sparse(*values):
+        return SparseVector(L2, tuple(enumerate(values, 1)))
+
+    def cells(*values):
+        return FiniteRowVector(tuple((k, 0, v) for k, v in enumerate(values)))
+
+    # an exact value equals its exact phase: -1 is half a turn at modulus 1
+    assert state_exact_eq(sparse(Fraction(-1)), sparse(Phase(1, Fraction(1, 2))))
+    assert state_exact_eq(cells(Fraction(-1)), cells(Phase(1, Fraction(1, 2))))
+    # floats never decide equality, not even bit for bit with themselves
+    for x in (sparse(0.5), sparse(Phase(1.0, Fraction(1, 4))), cells(0.5)):
+        assert not state_exact_eq(x, x)
+    assert not state_exact_eq(sparse(Fraction(1)), sparse(1.0))
+    assert not state_exact_eq(sparse(1.0), sparse(Fraction(1)))
+    assert not state_exact_eq(sparse(Fraction(1)), sparse(Fraction(1), Fraction(1)))
+    # cells compare as a set, in whatever order they were given
+    given_cells = ((2, 3, Phase(1, Fraction(1, 3))), (0, 0, Fraction(2)), (1, 1, Fraction(1)))
+    assert state_exact_eq(FiniteRowVector(given_cells), FiniteRowVector(given_cells[::-1]))
+    assert not state_exact_eq(FiniteRowVector(given_cells), FiniteRowVector(given_cells[1:]))
+    # pattern offsets compare by value, not by identity
+    assert state_exact_eq(RowState(2 ** 70), RowState(int(str(2 ** 70))))
+    assert not state_exact_eq(RowState(3), RowState(4))
+    # states of different vector classes never compare equal
+    assert not state_exact_eq(RowState(0), RowState(0).materialize(4))
+    assert not state_exact_eq(FiniteRowVector(()), SparseVector(L2, ()))
+
+
 class TestShift:
     def test_action(self):
         b = WeightedBackwardShift(Rule("2"))
@@ -295,10 +323,22 @@ class TestRowRotation:
             moved = power_apply(rr, x, steps)
             mat_moved = power_apply(rr, mat, steps)
             assert moved.offset == steps
+            assert moved.materialize(8) == mat_moved
             for k in range(9):
                 assert mat_moved.rotate(0).entries  # shape stays valid
                 assert moved.hot_position(k) == (-(steps)) % (1 << k)
                 assert (k, moved.hot_position(k), Fraction(1)) in mat_moved.entries
+
+    def test_sparse_only_operators_refuse_row_vectors(self):
+        ops = (BlockCycle(), Diagonal(turns=Rule("1/4")),
+               AffineComposition(rot(Fraction(1, 4)), 0))
+        for x in (RowState(0), FiniteRowVector(((1, 1, Fraction(1)),))):
+            for call in (*(op.apply for op in ops), *(op.period_bound for op in ops),
+                         Scaled(RowRotation(), Fraction(-1)).apply):
+                with pytest.raises(SpaceMismatch):
+                    call(x)
+        with pytest.raises(SpaceMismatch):
+            RowRotation().apply(SparseVector.unit(L2, 1))
 
     def test_seminorm_values(self):
         # p_1 of the base pattern: full geometric mass, no watched hits

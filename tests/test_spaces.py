@@ -6,11 +6,15 @@ coordinate and Hilbert test, and nothing else dispatches on a space's type.
   difference, on every coordinate space and on the row space;
 * README's space table says what ``check_index`` and ``first_coordinate``
   say;
-* no ``isinstance`` in the package names a space class.
+* no ``isinstance`` in the package names a space class, and one names a
+  vector class only where it chooses between the row space's two
+  representations.
 """
 
 import ast
 import re
+import typing
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -22,7 +26,7 @@ from hypothesis import strategies as st
 from recurlab import (Diagonal, DyadicRowSpace, EntireCoefficients, FiniteDim,
                       FiniteRowVector, Rule, SequenceLp, SequenceSup, SparseVector,
                       diff_seminorm, orbits, return_set, seminorm)
-from recurlab.operators import Space, SpaceMismatch
+from recurlab.operators import Space, SpaceMismatch, Vector
 
 ROOT = Path(__file__).resolve().parents[1]
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -187,7 +191,7 @@ def test_readme_space_table_matches_the_space_objects():
 
 
 # ---------------------------------------------------------------------------
-# no type ladders over spaces
+# no type ladders over spaces or vectors
 # ---------------------------------------------------------------------------
 
 def named_classes(node):
@@ -200,15 +204,46 @@ def named_classes(node):
     return []
 
 
-def test_no_isinstance_names_a_space_class():
-    spaces = {cls.__name__ for cls in space_classes()}
+def isinstance_sites(classes: set[str]) -> list[tuple[str, str, int]]:
+    """(file, enclosing function, line) of each ``isinstance`` in the package
+    that names one of ``classes``."""
     sites = []
+
+    def walk(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                walk(child, f"{scope}{child.name}.", path)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "isinstance" and len(child.args) == 2
+                    and classes.intersection(named_classes(child.args[1]))):
+                sites.append((path.name, scope.rstrip("."), child.lineno))
+            walk(child, scope, path)
+
     for path in sorted((ROOT / "src" / "recurlab").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "isinstance" and len(node.args) == 2):
-                hit = spaces.intersection(named_classes(node.args[1]))
-                if hit:
-                    sites.append(f"{path.name}:{node.lineno} {sorted(hit)}")
+        walk(ast.parse(path.read_text(), str(path)), "", path)
+    return sites
+
+
+def test_no_isinstance_names_a_space_class():
+    sites = isinstance_sites({cls.__name__ for cls in space_classes()})
     assert not sites, "ask the space (check_index, first_coordinate, is_hilbert, " \
-        "seminorm) instead of testing its type: " + ", ".join(sites)
+        "seminorm) instead of testing its type: " + ", ".join(map(str, sites))
+
+
+# the lines, by function, that choose between the row space's two vector
+# representations, RowState and FiniteRowVector
+REPRESENTATION_SITES = {
+    ("operators.py", "DyadicRowSpace.seminorm"): 1,
+    ("operators.py", "DyadicRowSpace.diff_seminorm"): 3,
+    ("operators.py", "RowRotation.period_bound"): 1,
+    ("orbits.py", "_rowstate_profile"): 1,
+}
+
+
+def test_vector_classes_are_named_only_at_the_representation_sites():
+    vectors = {cls.__name__ for cls in typing.get_args(Vector)}
+    sites = set(isinstance_sites(vectors))
+    found = Counter((path, scope) for path, scope, _ in sites)
+    assert found == REPRESENTATION_SITES, "ask the vector (space, exact, is_zero, " \
+        "==, rotate) instead of testing its type: " + ", ".join(map(str, sorted(sites)))

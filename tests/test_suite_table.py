@@ -4,6 +4,8 @@
 * each row parses from its required fields alone, rejects an unknown field
   at its line, names a missing required field and an operator of the wrong
   class;
+* a count or seed field below its bound exits 2 at its line, in every row
+  and in ``[experiment]``;
 * README's suite table states each row's fields, defaults and classes;
 * no comparison in the package names a suite kind.
 """
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from recurlab.cli import main
-from recurlab.config import parse_config, suite_kinds
+from recurlab.config import _EXPERIMENT, parse_config, suite_kinds
 from recurlab.operators import Diagonal, Matrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,6 +63,29 @@ def test_each_row_reads_its_fields(name, tmp_path, capsys):
             code, err = run([line.replace(REQUIRED[f.key, f.cls], "blockcycle")
                              for line in lines])
             assert code == 2 and f"needs a {f.cls.__name__} {f.key}" in err
+    assert not (tmp_path / "out").exists()
+
+
+# the least value of each count and seed field
+BOUNDS = {"horizon": 1, "trials": 1, "sample": 1, "p": 1, "m": 0, "seed": 0}
+EXPERIMENT = ["[experiment e]", "operator = blockcycle", "vector = vec(sparse: 1:1)",
+              "epsilons = 1/2", "horizon = 10"]
+SECTIONS = {**{name: kind.fields for name, kind in KINDS.items()}, "experiment": _EXPERIMENT}
+
+
+@pytest.mark.parametrize("key, row", [(key, row) for key in BOUNDS for row, fields in
+                                      SECTIONS.items() if any(f.key == key for f in fields)])
+def test_counts_and_seeds_below_their_bound_exit_two_at_their_line(key, row, tmp_path, capsys):
+    # trials = 0 and sample = 0 used to pass vacuously, m = -1 and seed = -1
+    # to fail at run time
+    lines = EXPERIMENT if row == "experiment" else required_only(KINDS[row])
+    lines = [line for line in lines if not line.startswith(f"{key} =")]
+    parse_config("\n".join([*lines, f"{key} = {BOUNDS[key]}"]))
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text("\n".join([*lines, f"{key} = {BOUNDS[key] - 1}"]) + "\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"line {len(lines) + 1}: " in err and f"{key} must be >= {BOUNDS[key]}" in err
     assert not (tmp_path / "out").exists()
 
 
