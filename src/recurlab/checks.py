@@ -33,7 +33,7 @@ from .operators import (Diagonal, Matrix, NumericalFailure, Operator, Power,
 from .orbits import (ReturnSetRecord, fractional_turns, growth_schedule,
                      periodic_orbit, return_sets)
 from .rules import Rule
-from .values import Phase, log2_abs, to_complex, vabs
+from .values import is_exact, log2_abs, to_complex, unimodular, vturns
 
 __all__ = [
     "CheckOutcome", "kronecker_return_check", "matrix_criterion_check",
@@ -42,6 +42,7 @@ __all__ = [
     "shift_series_check", "cut_shift_paste_check",
     "minimality_separation_check", "translation_invariance_check",
     "kronecker_window", "Family", "named_families", "f_recurrence_check",
+    "CUT_SHIFT_PASTE_MIN_HORIZON",
 ]
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
@@ -125,7 +126,7 @@ def kronecker_return_check(turns: Sequence, eps: float, N: int,
         "certificate_k": probe.certificate_k,
     }
     exact_d = None
-    if all(isinstance(t, Fraction) for t in turns):
+    if all(is_exact(t) for t in turns):
         d = math.lcm(*((t % 1).denominator for t in turns))
         min_nonzero = min((2.0 * abs(math.sin(math.pi * k / d))
                            for k in range(1, d)), default=2.0)
@@ -181,15 +182,8 @@ def diagonal_criterion_check(diag: Diagonal, sample_size: int,
     """All-unimodular-entries criterion versus classification of finitely
     supported vectors (units and their sum)."""
     parts = (repr(diag), sample_size, tuple(map(str, eps_grid)), N)
-    unimodular = True
-    for k in range(1, sample_size + 1):
-        lam = diag.entry(k)
-        m = vabs(lam)
-        if isinstance(m, Fraction):
-            if m != 1:
-                unimodular = False
-        elif abs(float(m) - 1.0) > tolerance:
-            unimodular = False
+    criterion = all([unimodular(diag.entry(k), tolerance)
+                     for k in range(1, sample_size + 1)])
     space = diag.space
     vectors = [SparseVector.unit(space, k) for k in (1, 2, 3)]
     vectors.append(SparseVector.from_pairs(
@@ -199,8 +193,8 @@ def diagonal_criterion_check(diag: Diagonal, sample_size: int,
         recs = return_sets(diag, x, eps_grid, (0,), N)
         labels.append(classify(recs, thresholds).label)
     simulated = all(lab >= Label.UNIFORMLY_RECURRENT for lab in labels)
-    metrics = {"criterion": unimodular, "labels": [lab.name for lab in labels]}
-    return _outcome("diagonal-criterion", unimodular == simulated, metrics,
+    metrics = {"criterion": criterion, "labels": [lab.name for lab in labels]}
+    return _outcome("diagonal-criterion", criterion == simulated, metrics,
                     {"rule": repr(diag)}, parts=parts)
 
 
@@ -233,7 +227,7 @@ def eigenvector_span_check(op: Operator, eigenpairs: Sequence, coefficients,
         x = x.add(v.scale(a))
     budgetScale = sum(abs(to_complex(a)) * float(seminorm(space, 0, v))
                       for a, v in zip(coefficients, vecs))
-    turns = [_turns_of(lam) for lam in lams]
+    turns = [vturns(lam) for lam in lams]
     records = return_sets(op, x, eps_grid, (0,), N)
     verdict = classify(records, thresholds)
     contain_counts = []
@@ -248,13 +242,6 @@ def eigenvector_span_check(op: Operator, eigenpairs: Sequence, coefficients,
                "budget_scale": budgetScale}
     return _outcome("eigenvector-span", ok, metrics,
                     {"coefficients": [str(c) for c in coefficients]}, parts=parts)
-
-
-def _turns_of(lam) -> object:
-    if isinstance(lam, Phase) and isinstance(lam.turns, Fraction):
-        return lam.turns
-    c = to_complex(lam)
-    return math.atan2(c.imag, c.real) / (2 * math.pi) % 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +297,7 @@ def scaling_consistency_check(op: Operator, x: Vector, factor,
     comparison accepts equality or both sides at least uniformly recurrent.
     """
     parts = (repr(op), repr(x)[:80], str(factor), tuple(map(str, eps_grid)), N)
-    m = vabs(factor)
-    if not (isinstance(m, Fraction) and m == 1) and abs(float(m) - 1.0) > 1e-12:
+    if not unimodular(factor, 1e-12):
         return _skip("scaling-consistency", "factor is not unimodular", parts)
     recs_t = return_sets(op, x, eps_grid, seminorms, N)
     recs_s = return_sets(Scaled(op, factor), x, eps_grid, seminorms, N)
@@ -554,6 +540,11 @@ def _sample_instance(rng: np.random.Generator, horizon: int,
     return CutShiftPaste(pieces, shifts)
 
 
+# the least horizon of a cut-shift-paste check: below it the `infinite`
+# sampler draws non-members, and `banach-density` raises at horizon 1
+CUT_SHIFT_PASTE_MIN_HORIZON = 3000
+
+
 def cut_shift_paste_check(family: str, trials: int, seed: int,
                           horizon: int = 20_000,
                           slack: float = 0.02) -> CheckOutcome:
@@ -563,11 +554,14 @@ def cut_shift_paste_check(family: str, trials: int, seed: int,
     above ``g + max_shift``; a density member whose image estimate drops
     below ``pre/(2q) - slack``; an infinite member whose image loses the
     horizon-spanning evidence.  The identity instance (q=1, shift 0) is
-    verified to reproduce the input exactly on every trial.
+    verified to reproduce the input exactly on every trial.  The horizon is
+    at least ``CUT_SHIFT_PASTE_MIN_HORIZON``, where every sampler draws members.
     """
     fam = named_families().get(family)
     if fam is None:
         raise ValueError(f"unknown family {family!r}")
+    if horizon < CUT_SHIFT_PASTE_MIN_HORIZON:
+        raise ValueError(f"horizon must be >= {CUT_SHIFT_PASTE_MIN_HORIZON}")
     rng = np.random.default_rng(seed)
     violations = 0
     witness = None

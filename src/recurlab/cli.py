@@ -197,6 +197,15 @@ def run_config(config: RunConfig, out_dir: Path, workers: int = 1,
     return 1 if any_fail else 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: no integer, or one below ``low``, exits 2 naming its option."""
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="recurlab",
@@ -204,10 +213,10 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="execute a config file")
     run_p.add_argument("config", type=Path)
-    run_p.add_argument("--workers", type=int, default=1)
+    run_p.add_argument("--workers", type=_int_at_least(1), default=1)
     run_p.add_argument("--precision", default="exact", help="exact | float:<digits>")
     run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--seed", type=_int_at_least(0), default=0)
     desc_p = sub.add_parser("describe", help="describe an operator literal")
     desc_p.add_argument("literal")
     args = parser.parse_args(argv)

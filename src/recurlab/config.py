@@ -293,10 +293,12 @@ class RunConfig:
 
 class Field(NamedTuple):
     """A section field: its key, its default (None: required; a format string
-    over ``seed`` and the fields read before it) and its value's class."""
+    over ``seed`` and the fields read before it), its value's class and, for
+    a count, the row's own least value in place of the key's."""
     key: str
     default: Optional[str] = None
     cls: type = object
+    least: Optional[int] = None
 
 
 class SuiteKind(NamedTuple):
@@ -329,7 +331,8 @@ def suite_kinds() -> dict[str, SuiteKind]:
                   (Field("turns"), Field("epsilon", "1/2"), horizon)),
         SuiteKind("cut-shift-paste", checks.cut_shift_paste_check,
                   (Field("family", "syndetic"), Field("trials", "100"),
-                   Field("seed", "{seed}"), Field("horizon", "20000"))),
+                   Field("seed", "{seed}"),
+                   Field("horizon", "20000", least=checks.CUT_SHIFT_PASTE_MIN_HORIZON))),
         SuiteKind("matrix-criterion", checks.matrix_criterion_check,
                   (Field("operator", cls=Matrix), eps, horizon)),
         SuiteKind("diagonal-criterion", checks.diagonal_criterion_check,
@@ -437,9 +440,9 @@ class _Section:
         parser."""
         values = dict(context)
         parsers = _parsers(values)
-        for key, default, cls in fields:
-            value = values[key] = self.get(key, parsers[key],
-                                           default and default.format_map(values))
+        for key, default, cls, least in fields:
+            parse = parsers[key] if least is None else _at_least(least, key)
+            value = values[key] = self.get(key, parse, default and default.format_map(values))
             if not isinstance(value, cls):
                 raise ConfigError(f"{self.label} needs a {cls.__name__} {key}",
                                   self.fields[key][1])
@@ -451,15 +454,16 @@ class _Section:
                 raise ConfigError(f"{self.label} has no field {key!r}", line)
 
 
+def _at_least(low: int, key: str) -> Callable[[str], int]:
+    def parse(text):
+        if int(text) < low:
+            raise ValueError(f"{key} must be >= {low}")
+        return int(text)
+    return parse
+
+
 def _parsers(v: dict) -> dict[str, Callable[[str], Any]]:
     """The one parser of each field key; ``v`` holds the fields read before."""
-
-    def at_least(low, key):
-        def parse(text):
-            if int(text) < low:
-                raise ValueError(f"{key} must be >= {low}")
-            return int(text)
-        return parse
 
     def epsilons(text):
         eps = tuple(Fraction(e) for e in _split_top(text))
@@ -503,8 +507,8 @@ def _parsers(v: dict) -> dict[str, Callable[[str], Any]]:
         "window": lambda t: parse_set_expression(t, v["horizon"]),
         "epsilons": epsilons, "epsilon": lambda t: float(Fraction(t)),
         "seminorms": seminorms, "seminorm": seminorm,
-        **{key: at_least(1, key) for key in ("horizon", "trials", "sample", "p")},
-        **{key: at_least(0, key) for key in ("m", "seed")},
+        **{key: _at_least(1, key) for key in ("horizon", "trials", "sample", "p")},
+        **{key: _at_least(0, key) for key in ("m", "seed")},
         "threshold": float, "turns": turns, "family": family,
         "factor": parse_scalar, "weights": Rule, "coefficients": coefficients,
     }

@@ -41,8 +41,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .rules import Rule
-from .values import (ExactSqrt, Phase, Value, abs2, diff_abs2, exact_eq,
-                     is_exact, log2_abs, to_complex, vabs, vmul, vpow)
+from .values import (Phase, Value, abs2, diff_abs, diff_abs2, exact_abs, exact_eq,
+                     exact_or_float, is_exact, log2_abs, to_complex,
+                     unimodular, vabs, vadd, vmul, vpow, vturns)
 
 __all__ = [
     "Space", "SequenceLp", "SequenceSup", "FiniteDim", "DyadicRowSpace", "EntireCoefficients",
@@ -103,7 +104,7 @@ class Space:
         xd, yd = x.as_dict, y.as_dict
         support = sorted(set(xd) | set(yd))
         zero = Fraction(0)
-        return self._fold(index, support, diff_abs2, _abs_diff,
+        return self._fold(index, support, diff_abs2, diff_abs,
                           [xd.get(i, zero) for i in support],
                           [yd.get(i, zero) for i in support])
 
@@ -121,10 +122,9 @@ class SequenceLp(Space):
 
     def _fold(self, index, support, mod2, mod, *columns):
         if self.p == 2:
-            sq = _exact_or_float(operator.add, map(mod2, *columns))
-            return ExactSqrt(sq) if isinstance(sq, Fraction) else math.sqrt(sq)
+            return exact_or_float(operator.add, map(mod2, *columns), root=True)
         if self.p == 1:
-            return _exact_or_float(operator.add, map(mod, *columns))
+            return exact_or_float(operator.add, map(mod, *columns))
         return sum(float(a) ** self.p for a in map(mod, *columns)) ** (1.0 / self.p)
 
 
@@ -133,7 +133,7 @@ class SequenceSup(Space):
     """c0 over N with the sup norm."""
 
     def _fold(self, index, support, mod2, mod, *columns):
-        return _exact_or_float(max, map(mod, *columns))
+        return exact_or_float(max, map(mod, *columns))
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,8 @@ class EntireCoefficients(Space):
 
     def _fold(self, index, support, mod2, mod, *columns):
         radius = self.radii[index]
-        return _exact_or_float(operator.add, (_scale_pow(a, radius, d) for a, d
-                                              in zip(map(mod, *columns), support)))
+        return exact_or_float(operator.add, (a * radius ** d for a, d
+                                             in zip(map(mod, *columns), support)))
 
 
 @dataclass(frozen=True)
@@ -202,13 +202,13 @@ class DyadicRowSpace(Space):
         rows: dict[int, list] = {}
         for k, j, v in x.entries:
             rows.setdefault(k, []).append((j, vabs(v)))
-        parts = [_scale_pow(_exact_or_float(max, (a for _, a in cells)), Fraction(1, 1 << k), 1)
+        parts = [exact_or_float(max, (a for _, a in cells)) * Fraction(1, 1 << k)
                  for k, cells in rows.items()]
         for k, cells in rows.items():
             watched = [a for j, a in cells if k >= 2 and _watch_hit(j, k, index)]
             if watched:
-                parts.append(_scale_pow(_exact_or_float(max, watched), Fraction(k), 1))
-        return _exact_or_float(operator.add, parts)
+                parts.append(exact_or_float(max, watched) * Fraction(k))
+        return exact_or_float(operator.add, parts)
 
     def diff_seminorm(self, index, x, y):
         self.check_index(index)
@@ -232,8 +232,12 @@ class DyadicRowSpace(Space):
         xd, yd = ({(k, j): v for k, j, v in z.entries} for z in (x, y))
         zero = Fraction(0)
         pairs = ((c, xd.get(c, zero), yd.get(c, zero)) for c in xd.keys() | yd.keys())
+        # a cell whose difference is zero goes: exactly zero for two exact
+        # values, else zero in complex floats
         return self.seminorm(index, FiniteRowVector(tuple(
-            (*c, _signed_diff(a, b)) for c, a, b in pairs if not _diff_is_zero(a, b))))
+            (*c, vadd(a, b, operator.sub)) for c, a, b in pairs
+            if not (exact_eq(a, b) if is_exact(a) and is_exact(b)
+                    else to_complex(a) == to_complex(b)))))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +270,7 @@ class SparseVector:
 
     @staticmethod
     def from_pairs(space: Space, pairs) -> "SparseVector":
-        kept = [(int(i), v) for i, v in sorted(pairs) if not _is_zero(v)]
+        kept = [(int(i), v) for i, v in sorted(pairs) if v]
         return SparseVector(space, tuple(kept))
 
     @cached_property
@@ -294,7 +298,7 @@ class SparseVector:
             raise SpaceMismatch("adding vectors from different spaces")
         merged = dict(self.entries)
         for i, v in other.entries:
-            merged[i] = _merge(merged[i], v) if i in merged else v
+            merged[i] = vadd(merged[i], v) if i in merged else v
         return SparseVector.from_pairs(self.space, merged.items())
 
     def to_dense(self, n: int) -> np.ndarray:
@@ -302,10 +306,6 @@ class SparseVector:
         for i, v in self.entries:
             out[i - 1] = to_complex(v)
         return out
-
-
-def _is_zero(v: Value) -> bool:
-    return (v.mag if isinstance(v, Phase) else v) == 0
 
 
 @dataclass(frozen=True)
@@ -470,7 +470,7 @@ class BlockCycle(Operator):
             t, w = self.jump(i, n)
             prev = pairs.get(t)
             val = _guard_float_weight(w, v)
-            pairs[t] = val if prev is None else _merge(prev, val)
+            pairs[t] = val if prev is None else vadd(prev, val)
         return SparseVector.from_pairs(x.space, pairs.items())
 
     def period_bound(self, x):
@@ -583,11 +583,8 @@ class Diagonal(Operator):
     def entry(self, index: int) -> Value:
         cache = self._entries
         if index not in cache:
-            if self.turns is not None:
-                cache[index] = Phase(Fraction(1), self.turns(index))
-            else:
-                v = self.values(index)
-                cache[index] = v if isinstance(v, Fraction) else float(v)
+            cache[index] = (Phase(Fraction(1), self.turns(index)) if self.turns is not None
+                            else self.values(index))    # a Rule gives a Fraction or a float
         return cache[index]
 
     def apply(self, x):
@@ -610,7 +607,7 @@ class Diagonal(Operator):
 
     def describe(self):
         mods = [float(vabs(self.entry(n))) for n in range(1, 5)]
-        uni = all(abs(m - 1.0) <= 1e-12 for m in mods)
+        uni = all(unimodular(self.entry(n), 1e-12) for n in range(1, 5))
         entries = (f"rot({self.turns.source}) turns" if self.turns is not None
                    else self.values.source)
         return [
@@ -669,15 +666,15 @@ class AffineComposition(Operator):
 
     def symbol_power(self, n: int) -> tuple[Value, complex]:
         an = vpow(self.a, n)
-        if _is_one(self.a):
-            return Fraction(1), n * to_complex(self.b)
-        if isinstance(an, Phase) and an.is_one():
+        if to_complex(self.a) == 1:          # a translation, exact or floating
+            return an, n * to_complex(self.b)
+        if exact_eq(an, 1):
             return an, 0j
         bn = to_complex(self.b) * (to_complex(an) - 1) / (to_complex(self.a) - 1)
         return an, bn
 
     def compose(self, x: SparseVector, a_n: Value, b_n: complex) -> SparseVector:
-        if b_n == 0 and _is_one(a_n):
+        if b_n == 0 and exact_eq(a_n, 1):
             return x
         deg = x.entries[-1][0] if x.entries else 0   # affine symbols keep degree
         out = np.zeros(deg + 1, dtype=np.complex128)
@@ -702,9 +699,8 @@ class AffineComposition(Operator):
         # the symbol's order is a period of every f
         if all(i == 0 for i, _ in _sparse(self, x).entries):
             return 1
-        if _is_one(self.a):
-            return 1 if _is_zero(self.b) else None
-        return _phase_order(self.a)
+        order = _phase_order(self.a)
+        return None if order == 1 and self.b else order     # z + b with b != 0 never returns
 
     def fixes(self, x, n):
         # every composition fixes a constant exactly, although compose()
@@ -859,8 +855,7 @@ class Power(Operator):
 # ---------------------------------------------------------------------------
 
 def _guard_float_weight(weight: Fraction, value: Value) -> Value:
-    floating = isinstance(value, (complex, float)) or (
-        isinstance(value, Phase) and not isinstance(value.mag, Fraction))
+    floating = exact_abs(value) is None
     if floating and abs(log2_abs(weight)) > 980:
         raise PrecisionError(
             "weight magnitude beyond float range; rerun with --precision exact")
@@ -884,16 +879,6 @@ def power_apply(op: Operator, x: Vector, n: int) -> Vector:
     if n == 0:
         return x
     return op.power(x, n)
-
-
-def _merge(a: Value, b: Value) -> Value:
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a) + Fraction(b)
-    return to_complex(a) + to_complex(b)
-
-
-def _is_one(v: Value) -> bool:
-    return exact_eq(v, Fraction(1)) or (isinstance(v, Phase) and v.is_one())
 
 
 def _stable_powers(lam: np.ndarray, n: int) -> np.ndarray:
@@ -921,16 +906,8 @@ def state_exact_eq(x: Vector, y: Vector) -> bool:
 
 def _phase_order(v: Value) -> Optional[int]:
     """Multiplicative order of an exactly unimodular value, if finite."""
-    if isinstance(v, (int, Fraction)):
-        f = Fraction(v)
-        if f == 1:
-            return 1
-        if f == -1:
-            return 2
-        return None
-    if isinstance(v, Phase) and v.exact and v.mag == 1:
-        return v.turns.denominator if isinstance(v.turns, Fraction) else None
-    return None
+    turns = vturns(v)
+    return turns.denominator if is_exact(turns) and exact_abs(v) == 1 else None
 
 
 def exact_state_period(op: Operator, x: Vector) -> Optional[int]:
@@ -974,38 +951,6 @@ def _prime_factors(n: int) -> list[int]:
 # seminorms
 # ---------------------------------------------------------------------------
 
-def _exact_or_float(combine, terms):
-    """Fold Fraction and float terms with ``combine`` (``operator.add`` or
-    ``max``): a Fraction when every term is one.  Otherwise the float terms
-    are folded in order and the exact part joins once, at the end, so a
-    float result does not depend on where the exact terms sat."""
-    exact, floating, all_exact = Fraction(0), 0.0, True
-    for t in terms:
-        if isinstance(t, Fraction):
-            exact = combine(exact, t)
-        else:
-            all_exact = False
-            floating = combine(floating, float(t))
-    return exact if all_exact else combine(floating, float(exact))
-
-
-def _scale_pow(a, radius: Fraction, d: int):
-    if isinstance(a, Fraction):
-        return a * radius ** d
-    return float(a) * float(radius) ** d
-
-
-def _abs_diff(a: Value, b: Value):
-    d2 = diff_abs2(a, b)
-    if isinstance(d2, Fraction):
-        num = math.isqrt(d2.numerator)
-        den = math.isqrt(d2.denominator)
-        if num * num == d2.numerator and den * den == d2.denominator:
-            return Fraction(num, den)
-        return float(ExactSqrt(d2))
-    return math.sqrt(d2)
-
-
 def check_seminorm_index(space: Space, index: int) -> int:
     """``index`` if the space has a seminorm of that index, else ValueError."""
     return space.check_index(index)
@@ -1042,18 +987,6 @@ def _pattern_watch_rows(offset: int, index: int) -> list[int]:
     return hits
 
 
-def _signed_diff(a: Value, b: Value):
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a) - Fraction(b)
-    return to_complex(a) - to_complex(b)
-
-
-def _diff_is_zero(a: Value, b: Value) -> bool:
-    if is_exact(a) and is_exact(b):
-        return exact_eq(a, b)
-    return to_complex(a) == to_complex(b)
-
-
 # ---------------------------------------------------------------------------
 # continuity bound for the row rotation
 # ---------------------------------------------------------------------------
@@ -1071,7 +1004,7 @@ def continuity_bound_check(x: Vector, index: int) -> bool:
     _, c = continuity_bound_constant(index)
     lhs = seminorm(x.space, index, apply(RowRotation(), x))
     rhs = seminorm(x.space, index + 1, x)
-    if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
+    if is_exact(lhs) and is_exact(rhs):
         return lhs <= c * rhs
     return float(lhs) <= c * float(rhs) * (1 + 1e-12)
 

@@ -63,7 +63,8 @@ from .operators import (BlockCycle, Diagonal, Matrix, Operator, Power,
                         RowRotation, RowState, Scaled, SparseVector, Vector,
                         apply, check_seminorm_index, diff_seminorm,
                         exact_state_period, power_apply, seminorm)
-from .values import ExactSqrt, norm_lt, to_complex, vabs, vmul
+from .values import (ExactSqrt, exact_abs, is_exact, norm_max, norms_below, to_complex,
+                     vabs, vmul)
 
 __all__ = [
     "ReturnSetRecord", "GrowthCurve", "CoveringReport", "PowerBoundVerdict",
@@ -96,13 +97,9 @@ class DistanceProfile:
         return self.values[n]
 
     def window(self, eps) -> IndexWindow:
-        bound = Fraction(eps) if not isinstance(eps, Fraction) else eps
-        if isinstance(self.values, np.ndarray):
-            hits = self.values < float(bound)
-        else:
-            sq = bound * bound
-            hits = np.array([v.sq < sq if isinstance(v, ExactSqrt) else norm_lt(v, bound)
-                             for v in self.values], dtype=bool)
+        bound = Fraction(eps)
+        hits = (self.values < float(bound) if isinstance(self.values, np.ndarray)
+                else np.array(norms_below(self.values, bound), dtype=bool))
         # a periodic profile holds one period: tile it out to the horizon
         return IndexWindow.from_mask(np.resize(hits, self.horizon + 1))
 
@@ -225,23 +222,7 @@ def _peel(op: Operator):
 
 def _distance(y: Vector, x: Vector, seminorms: tuple[int, ...]):
     """``max_i p_i(y - x)``."""
-    return _max_norm([diff_seminorm(x.space, i, y, x) for i in seminorms])
-
-
-def _norm_gt(a, b) -> bool:
-    if isinstance(a, (Fraction, ExactSqrt)) and isinstance(b, (Fraction, ExactSqrt)):
-        asq = a.sq if isinstance(a, ExactSqrt) else a * a
-        bsq = b.sq if isinstance(b, ExactSqrt) else b * b
-        return asq > bsq
-    return float(a) > float(b)
-
-
-def _max_norm(vals):
-    best = vals[0]
-    for v in vals[1:]:
-        if _norm_gt(v, best):
-            best = v
-    return best
+    return norm_max([diff_seminorm(x.space, i, y, x) for i in seminorms])
 
 
 def _block_cycle_distances(base: Operator, factor, stride: int, x: Vector,
@@ -312,7 +293,7 @@ def _stepwise_profile(op: Operator, x: Vector, seminorms: tuple[int, ...],
         if n:
             y = apply(op, y)
         d = _distance(y, x, seminorms)
-        exact = exact and isinstance(d, (Fraction, ExactSqrt))
+        exact = exact and is_exact(d)
         vals.append(d)
         if y.is_zero:
             vals.extend([d] * (N - n))
@@ -675,13 +656,13 @@ def _applied(op: Operator, x: Vector, N: int):
 def _isometric(op: Operator, x: Vector) -> bool:
     """Whether every coordinate modulus of every ``T^n x`` is exactly
     ``|x_j|``: x exact under a diagonal whose entries on x's support, and
-    any scalar factor, have modulus 1 as a Fraction (a Phase of magnitude 1
-    or a Fraction +-1), so each product keeps each modulus as it was."""
+    any scalar factor, have ``exact_abs`` 1 (a Phase of magnitude 1 or a
+    Fraction +-1), so each product keeps each modulus as it was."""
     base, factor, _ = _peel(op)
     if not (isinstance(base, Diagonal) and x.space.first_coordinate is not None and x.exact):
         return False
     units = [base.entry(i) for i in x.support] + ([] if factor is None else [factor])
-    return all(isinstance(abs(v), Fraction) and abs(v) == 1 for v in units)
+    return all(exact_abs(v) == 1 for v in units)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,8 @@ from typing import Union
 
 import numpy as np
 
+from .values import rational_sqrt
+
 Scalar = Union[Fraction, float]
 
 _TOKENS = ("+", "-", "*", "/", "^", "(", ")")
@@ -142,32 +144,26 @@ def _eval(node, n: int) -> Scalar:
         v = _eval(node[1], n)
         if v < 0:
             raise ValueError(f"square root of a negative number at n={n}")
-        if isinstance(v, Fraction):
-            r = math.isqrt(v.numerator)
-            s = math.isqrt(v.denominator)
-            if r * r == v.numerator and s * s == v.denominator:
-                return Fraction(r, s)
-        return math.sqrt(float(v))
+        root = rational_sqrt(v) if isinstance(v, Fraction) else None
+        return math.sqrt(float(v)) if root is None else root
     a = _eval(node[1], n)
     b = _eval(node[2], n)
+    # a Fraction meeting a float rounds to float arithmetic
     if kind == "+":
-        return _combine(a, b, lambda x, y: x + y)
+        return a + b
     if kind == "-":
-        return _combine(a, b, lambda x, y: x - y)
+        return a - b
     if kind == "*":
-        return _combine(a, b, lambda x, y: x * y)
+        return a * b
     if kind == "/":
         if b == 0:
             raise ZeroDivisionError(f"rule divides by zero at n={n}")
-        return _combine(a, b, lambda x, y: x / y)
+        return a / b
     if kind == "^":
         if a == 0 and b < 0:
             raise ZeroDivisionError(f"rule divides by zero at n={n}")
         if isinstance(b, Fraction) and b.denominator == 1:
-            e = int(b)
-            if isinstance(a, Fraction):
-                return a ** e
-            return float(a) ** e
+            return a ** int(b)
         v = float(a) ** float(b)
         if isinstance(v, complex):
             raise ValueError(f"negative base to a fractional power at n={n}")
@@ -245,12 +241,6 @@ def _ratio(node, n: np.ndarray, m: int, vanish: list):
     return out
 
 
-def _combine(a: Scalar, b: Scalar, op) -> Scalar:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return op(a, b)
-    return op(float(a), float(b))
-
-
 class Rule:
     """A parsed ``n -> scalar`` rule with its source text.  A call walks the
     syntax tree for one n; ``values`` evaluates a range."""
@@ -298,11 +288,7 @@ class Rule:
         def scan(node) -> bool:
             if node[0] == "sqrt":
                 v = node[1]
-                if v[0] == "const":
-                    r = math.isqrt(v[1].numerator)
-                    s = math.isqrt(v[1].denominator)
-                    return r * r == v[1].numerator and s * s == v[1].denominator
-                return False
+                return v[0] == "const" and rational_sqrt(v[1]) is not None
             if node[0] == "^" and not _integer_valued(node[2]):
                 return False        # a non-integer exponent evaluates in floats
             return all(scan(c) for c in node[1:] if isinstance(c, tuple))

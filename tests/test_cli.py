@@ -276,7 +276,7 @@ class TestRunner:
 
     def test_run_seed_seeds_suites_without_their_own(self, tmp_path):
         cfg = self.write(tmp_path, "[suite csp]\ncheck = cut-shift-paste\n"
-                         "trials = 5\nhorizon = 2000\n")
+                         "trials = 5\nhorizon = 3000\n")
         outs = []
         for sub, seed in (("a", "1"), ("b", "2"), ("c", "1")):
             assert main(["run", str(cfg), "--out", str(tmp_path / sub),
@@ -333,6 +333,27 @@ horizon = 100
             main([*option, "run", str(cfg)])
         assert exited.value.code == 2
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--seed", "x"),
+                                               ("--workers", "-3"), ("--workers", "0")])
+    def test_bad_seed_or_workers_exits_two_naming_the_option(self, tmp_path, monkeypatch,
+                                                             capsys, option, value):
+        # --seed -1 used to be blamed on the suite's header line, and
+        # --workers -3 ran serially and exited 0
+        monkeypatch.chdir(tmp_path)
+        cfg = self.write(tmp_path, "[suite c]\ncheck = cut-shift-paste\n"
+                         "trials = 2\nhorizon = 3000\n")
+        with pytest.raises(SystemExit) as exited:
+            main(["run", str(cfg), "--out", str(tmp_path / "out"), option, value])
+        assert exited.value.code == 2
+        assert f"argument {option}: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_least_seed_and_workers_run(self, tmp_path):
+        cfg = self.write(tmp_path, "[suite c]\ncheck = cut-shift-paste\n"
+                         "trials = 2\nhorizon = 3000\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"),
+                     "--seed", "0", "--workers", "1"]) == 0
 
     def test_bad_precision_flag(self, tmp_path):
         cfg = self.write(tmp_path, SMALL_CONFIG)

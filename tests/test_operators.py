@@ -23,8 +23,8 @@ L2 = SequenceLp(2)
 class TestValues:
     def test_phase_algebra(self):
         i = rot(Fraction(1, 4))
-        assert (i ** 4).is_one()
-        assert not (i ** 2).is_one()
+        assert exact_eq(i ** 4, 1)
+        assert not exact_eq(i ** 2, 1)
         assert exact_eq(i ** 2, Fraction(-1))
         assert abs(to_complex(i * i) - (-1 + 0j)) < 1e-15
 
@@ -312,6 +312,12 @@ class TestDiagonal:
         d = Diagonal(turns=Rule("1/2^n"))
         x = SparseVector.from_pairs(L2, [(k, Fraction(1)) for k in (1, 2, 3)])
         assert exact_state_period(Power(d, 2), x) == 4
+
+    def test_describe_decides_exact_entries_exactly(self):
+        # an exact entry 1 + 10^-15 once read as unimodular through its float
+        assert "all-unimodular head: False" in Diagonal(values=Rule("1+1/10^15")).describe()
+        assert "all-unimodular head: True" in Diagonal(turns=Rule("sqrt(2)")).describe()
+        assert "all-unimodular head: True" in Diagonal(values=Rule("-1")).describe()
 
 
 class TestRowRotation:

@@ -6,9 +6,10 @@ coordinate and Hilbert test, and nothing else dispatches on a space's type.
   difference, on every coordinate space and on the row space;
 * README's space table says what ``check_index`` and ``first_coordinate``
   say;
-* no ``isinstance`` in the package names a space class, and one names a
-  vector class only where it chooses between the row space's two
-  representations.
+* no ``isinstance`` in the package names a space class, one names a vector
+  class only where it chooses between the row space's two representations,
+  and one names a scalar class only in ``values`` and ``rules`` (the value
+  algebra and its own evaluator) and in the integer kernels.
 """
 
 import ast
@@ -191,7 +192,7 @@ def test_readme_space_table_matches_the_space_objects():
 
 
 # ---------------------------------------------------------------------------
-# no type ladders over spaces or vectors
+# no type ladders over spaces, vectors or scalars
 # ---------------------------------------------------------------------------
 
 def named_classes(node):
@@ -204,9 +205,9 @@ def named_classes(node):
     return []
 
 
-def isinstance_sites(classes: set[str]) -> list[tuple[str, str, int]]:
-    """(file, enclosing function, line) of each ``isinstance`` in the package
-    that names one of ``classes``."""
+def isinstance_sites(classes: set[str], skip=()) -> list[tuple[str, str, int]]:
+    """(file, enclosing function, line) of each ``isinstance`` in the package,
+    outside the files in ``skip``, that names one of ``classes``."""
     sites = []
 
     def walk(node, scope, path):
@@ -221,14 +222,23 @@ def isinstance_sites(classes: set[str]) -> list[tuple[str, str, int]]:
             walk(child, scope, path)
 
     for path in sorted((ROOT / "src" / "recurlab").glob("*.py")):
-        walk(ast.parse(path.read_text(), str(path)), "", path)
+        if path.name not in skip:
+            walk(ast.parse(path.read_text(), str(path)), "", path)
     return sites
 
 
+def assert_sites(classes: set[str], allowed: dict, advice: str, skip=()):
+    """The one guard: the lines with an ``isinstance`` naming ``classes`` are
+    exactly the allowed ones, counted by file and function."""
+    sites = set(isinstance_sites(classes, skip))
+    found = Counter((path, scope) for path, scope, _ in sites)
+    assert found == allowed, advice + ": " + ", ".join(map(str, sorted(sites)))
+
+
 def test_no_isinstance_names_a_space_class():
-    sites = isinstance_sites({cls.__name__ for cls in space_classes()})
-    assert not sites, "ask the space (check_index, first_coordinate, is_hilbert, " \
-        "seminorm) instead of testing its type: " + ", ".join(map(str, sites))
+    assert_sites({cls.__name__ for cls in space_classes()}, {},
+                 "ask the space (check_index, first_coordinate, is_hilbert, "
+                 "seminorm) instead of testing its type")
 
 
 # the lines, by function, that choose between the row space's two vector
@@ -242,8 +252,23 @@ REPRESENTATION_SITES = {
 
 
 def test_vector_classes_are_named_only_at_the_representation_sites():
-    vectors = {cls.__name__ for cls in typing.get_args(Vector)}
-    sites = set(isinstance_sites(vectors))
-    found = Counter((path, scope) for path, scope, _ in sites)
-    assert found == REPRESENTATION_SITES, "ask the vector (space, exact, is_zero, " \
-        "==, rotate) instead of testing its type: " + ", ".join(map(str, sorted(sites)))
+    assert_sites({cls.__name__ for cls in typing.get_args(Vector)}, REPRESENTATION_SITES,
+                 "ask the vector (space, exact, is_zero, ==, rotate) instead of "
+                 "testing its type")
+
+
+SCALARS = {"Fraction", "Phase", "ExactSqrt", "float", "complex", "int"}
+# outside the value algebra and the rule evaluator, the functions that read
+# a rational's integers: the integer kernels, and the artifact formatter
+SCALAR_SITES = {
+    ("checks.py", "kronecker_window"): 1,
+    ("cli.py", "_fmt"): 1,
+    ("operators.py", "_dyadic_key"): 2,
+    ("orbits.py", "_block_cycle_distances"): 1,
+}
+
+
+def test_scalar_classes_are_named_only_in_the_value_algebra():
+    assert_sites(SCALARS, SCALAR_SITES, "ask values (is_exact, exact_eq, exact_abs, vturns, "
+                 "vadd, exact_or_float, norm_max) instead of testing a scalar's type",
+                 skip={"values.py", "rules.py"})

@@ -4,8 +4,8 @@
 * each row parses from its required fields alone, rejects an unknown field
   at its line, names a missing required field and an operator of the wrong
   class;
-* a count or seed field below its bound exits 2 at its line, in every row
-  and in ``[experiment]``;
+* a count or seed field below its bound (the key's, or the row's own floor)
+  exits 2 at its line, in every row and in ``[experiment]``;
 * README's suite table states each row's fields, defaults and classes;
 * no comparison in the package names a suite kind.
 """
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from recurlab.checks import CUT_SHIFT_PASTE_MIN_HORIZON
 from recurlab.cli import main
 from recurlab.config import _EXPERIMENT, parse_config, suite_kinds
 from recurlab.operators import Diagonal, Matrix
@@ -66,8 +67,9 @@ def test_each_row_reads_its_fields(name, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# the least value of each count and seed field
+# the least value of each count and seed field, and of a row's own floor
 BOUNDS = {"horizon": 1, "trials": 1, "sample": 1, "p": 1, "m": 0, "seed": 0}
+FLOORS = {("horizon", "cut-shift-paste"): CUT_SHIFT_PASTE_MIN_HORIZON}
 EXPERIMENT = ["[experiment e]", "operator = blockcycle", "vector = vec(sparse: 1:1)",
               "epsilons = 1/2", "horizon = 10"]
 SECTIONS = {**{name: kind.fields for name, kind in KINDS.items()}, "experiment": _EXPERIMENT}
@@ -80,12 +82,13 @@ def test_counts_and_seeds_below_their_bound_exit_two_at_their_line(key, row, tmp
     # to fail at run time
     lines = EXPERIMENT if row == "experiment" else required_only(KINDS[row])
     lines = [line for line in lines if not line.startswith(f"{key} =")]
-    parse_config("\n".join([*lines, f"{key} = {BOUNDS[key]}"]))
+    bound = FLOORS.get((key, row), BOUNDS[key])
+    parse_config("\n".join([*lines, f"{key} = {bound}"]))
     cfg = tmp_path / "bound.cfg"
-    cfg.write_text("\n".join([*lines, f"{key} = {BOUNDS[key] - 1}"]) + "\n")
+    cfg.write_text("\n".join([*lines, f"{key} = {bound - 1}"]) + "\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert f"line {len(lines) + 1}: " in err and f"{key} must be >= {BOUNDS[key]}" in err
+    assert f"line {len(lines) + 1}: " in err and f"{key} must be >= {bound}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -103,6 +106,11 @@ def readme_suite_rows() -> dict[str, str]:
         kind, fields = (cell.strip() for cell in line.strip("|").split("|"))
         rows[kind.strip("`")] = fields
     return rows
+
+
+def test_floors_are_the_rows_own():
+    assert {(f.key, name): f.least for name, kind in KINDS.items()
+            for f in kind.fields if f.least is not None} == FLOORS
 
 
 def test_readme_suite_table_matches_the_rows():
